@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -50,19 +50,21 @@ class CliError(Exception):
     pass
 
 
-def _write_atomic(path: str, body: str) -> None:
-    target = Path(path)
-    tmp = target.with_name(target.name + ".tmp")
-    tmp.write_text(body, encoding="utf-8")
-    os.replace(tmp, target)
+def _write_file(path: str, body: str) -> None:
+    with corpus_mod.write_atomic(path) as fh:
+        fh.write(body)
 
 
 def _emit(args, rows: list[str]) -> None:
     body = "\n".join(rows) + ("\n" if rows else "")
     if args.output:
-        _write_atomic(args.output, body)
+        _write_file(args.output, body)
     else:
         sys.stdout.write(body)
+
+
+def _by_reason(rejections) -> dict[str, int]:
+    return dict(sorted(Counter(r.reason for r in rejections).items()))
 
 
 def _json_lines(records: list[dict]) -> list[str]:
@@ -121,12 +123,13 @@ def _cmd_ingest(args, parser):
     if args.output:
         body = "".join(corpus_mod.serialize_record(r) + "\n"
                        for r in corpus.records())
-        _write_atomic(args.output, body)
+        _write_file(args.output, body)
     span = None
     if stats.time_span:
         span = [stats.time_span[0].isoformat(), stats.time_span[1].isoformat()]
     print(json.dumps({"record_count": stats.record_count,
                       "rejected_count": stats.rejected_count,
+                      "rejected_by_reason": _by_reason(corpus.rejections),
                       "distinct_users": stats.distinct_users,
                       "time_span": span}))
     return 0
@@ -151,7 +154,7 @@ def _cmd_filter(args, parser):
     kept, removed = spam_mod.filter_corpus(corpus, model)
     body = "".join(corpus_mod.serialize_record(r) + "\n"
                    for r in kept.records())
-    _write_atomic(args.output, body)
+    _write_file(args.output, body)
     print(json.dumps({"removed_count": removed, "kept_count": len(kept)}))
     return 0
 
@@ -159,15 +162,15 @@ def _cmd_filter(args, parser):
 def _cmd_index(args, parser):
     _merge_config(args, parser, ("input", "output"))
     g = _granularity(args)
-    corpus, stats = corpus_mod.ingest(args.input,
-                                      min_confidence=args.min_confidence)
+    built, stats, rejections = index_mod.build_streaming(
+        args.input, g, args.delta, min_confidence=args.min_confidence,
+        approx_users=bool(args.approx_users))
     if args.rejects:
-        corpus_mod.write_rejections(corpus.rejections, args.rejects)
-    built = index_mod.build(corpus, g, args.delta,
-                            approx_users=bool(args.approx_users))
+        corpus_mod.write_rejections(rejections, args.rejects)
     index_mod.save(built, args.output)
     print(json.dumps({"record_count": stats.record_count,
                       "rejected_count": stats.rejected_count,
+                      "rejected_by_reason": _by_reason(rejections),
                       "entities": len(built.entities),
                       "periods": len(built.periods()),
                       "postings": built.posting_count(),
@@ -273,8 +276,8 @@ def _cmd_network(args, parser):
             args.min_support)
     if args.graph_output:
         edges = relations_mod.network_edge_rows(network)
-        _write_atomic(args.graph_output,
-                      "\n".join(edges) + ("\n" if edges else ""))
+        _write_file(args.graph_output,
+                    "\n".join(edges) + ("\n" if edges else ""))
     if args.format == "json":
         rows = _json_lines(relations_mod.network_json_records(network))
     else:
@@ -290,9 +293,9 @@ def _cmd_generate(args, parser):
         rows, manifest = synth_mod.generate(spec)
     except synth_mod.ScenarioError as exc:
         raise CliError(str(exc)) from exc
-    _write_atomic(args.output, "\n".join(rows) + ("\n" if rows else ""))
+    _write_file(args.output, "\n".join(rows) + ("\n" if rows else ""))
     if args.manifest:
-        _write_atomic(args.manifest, json.dumps(manifest, indent=2) + "\n")
+        _write_file(args.manifest, json.dumps(manifest, indent=2) + "\n")
     print(json.dumps({"rows": manifest["rows"],
                       "spam_rows": manifest["spam_rows"]}))
     return 0

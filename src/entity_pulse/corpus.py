@@ -26,6 +26,7 @@ import csv
 import gzip
 import io
 import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -130,14 +131,20 @@ def _parse_timestamp(raw: str) -> datetime | None:
         ts = ts.replace(tzinfo=UTC)
     else:
         ts = ts.astimezone(UTC)
-    return ts.replace(microsecond=0)
+    return ts.replace(microsecond=0) if ts.microsecond else ts
 
 
-def _parse_mentions(raw: str) -> tuple[EntityMention, ...] | None:
+def _parse_mentions(raw: str, decoded: dict[str, str]
+                    ) -> tuple[tuple[str, float], ...] | None:
+    """``(entity, confidence)`` pairs in first-seen order, or None if malformed.
+
+    A repeated entity keeps its highest confidence. ``decoded`` memoises
+    raw id -> entity across the rows of one read, so each distinct escaped
+    id goes through ``unquote`` once; ids without a ``%`` never do.
+    """
     if not raw:
         return ()
     best: dict[str, float] = {}
-    order: list[str] = []
     for chunk in raw.split(";"):
         head, sep, tail = chunk.rpartition(":")
         if not sep:
@@ -146,7 +153,9 @@ def _parse_mentions(raw: str) -> tuple[EntityMention, ...] | None:
             conf = float(tail)
         except ValueError:
             return None
-        entity = unquote(head)
+        entity = decoded.get(head)
+        if entity is None:
+            entity = decoded[head] = unquote(head) if "%" in head else head
         if not entity:
             return None
         if entity in best:
@@ -154,34 +163,35 @@ def _parse_mentions(raw: str) -> tuple[EntityMention, ...] | None:
                 best[entity] = conf
         else:
             best[entity] = conf
-            order.append(entity)
-    return tuple(EntityMention(e, best[e]) for e in order)
+    return tuple(best.items())
 
 
-def _convert(fields: list[str], row: int) -> AnnotatedText | Rejection:
+def _convert(fields: list[str], decoded: dict[str, str]) -> tuple | str:
+    """Validate one row's fields into the compact parsed form
+    ``(text_id, user_id, ts, mentions, pos, neg, text)``, or return the
+    reason the row is rejected."""
     if len(fields) == 6:
         text = None
     elif len(fields) == 7:
         text = fields[6]
     else:
-        return Rejection(row, REASON_FIELD_COUNT)
+        return REASON_FIELD_COUNT
     text_id, user_id = fields[0], fields[1]
     if not text_id or not user_id:
-        return Rejection(row, REASON_EMPTY_ID)
+        return REASON_EMPTY_ID
     ts = _parse_timestamp(fields[2])
     if ts is None:
-        return Rejection(row, REASON_TIMESTAMP)
-    mentions = _parse_mentions(fields[3])
+        return REASON_TIMESTAMP
+    mentions = _parse_mentions(fields[3], decoded)
     if mentions is None:
-        return Rejection(row, REASON_MENTIONS)
+        return REASON_MENTIONS
     try:
         pos, neg = int(fields[4]), int(fields[5])
     except ValueError:
-        return Rejection(row, REASON_SENTIMENT)
+        return REASON_SENTIMENT
     if not (1 <= pos <= 5) or not (-5 <= neg <= -1):
-        return Rejection(row, REASON_SENTIMENT)
-    return AnnotatedText(text_id, user_id, ts, mentions,
-                         SentimentScores(pos, neg), text)
+        return REASON_SENTIMENT
+    return text_id, user_id, ts, mentions, pos, neg, text
 
 
 def parse_record(line: str, row: int = 0) -> AnnotatedText | Rejection:
@@ -193,7 +203,13 @@ def parse_record(line: str, row: int = 0) -> AnnotatedText | Rejection:
         fields = next(csv.reader([line]))
     except (csv.Error, StopIteration):
         return Rejection(row, REASON_FIELD_COUNT)
-    return _convert(fields, row)
+    parsed = _convert(fields, {})
+    if isinstance(parsed, str):
+        return Rejection(row, parsed)
+    text_id, user_id, ts, mentions, pos, neg, text = parsed
+    return AnnotatedText(text_id, user_id, ts,
+                         tuple(EntityMention(e, c) for e, c in mentions),
+                         SentimentScores(pos, neg), text)
 
 
 def serialize_record(record: AnnotatedText) -> str:
@@ -232,51 +248,54 @@ class Corpus:
         self._min_ts: datetime | None = None
         self._max_ts: datetime | None = None
         self._text_ids: set[str] = set()
-        self._sealed = False
 
-    def _intern_entity(self, entity_id: str) -> int:
-        i = self._entity_ids.get(entity_id)
-        if i is None:
-            i = len(self.entities)
-            self._entity_ids[entity_id] = i
-            self.entities.append(entity_id)
-        return i
+    def _accept(self, parsed: Iterable[tuple],
+                min_confidence: float | None) -> Iterator[Row]:
+        """Dedupe, filter and intern validated rows; yield them compact.
 
-    def _intern_user(self, user_id: str) -> int:
-        i = self._user_ids.get(user_id)
-        if i is None:
-            i = len(self.users)
-            self._user_ids[user_id] = i
-            self.users.append(user_id)
-        return i
+        ``parsed`` yields ``(row, (text_id, user_id, ts, mentions, pos, neg,
+        text))``. The first row with a text id wins and later ones become
+        duplicate-id rejections. Mentions below ``min_confidence`` are
+        dropped, ids are interned in first-seen order, and the record count
+        and time span advance; the rows themselves are not stored here.
+        """
+        text_ids = self._text_ids
+        entity_ids, entities = self._entity_ids, self.entities
+        user_ids, users = self._user_ids, self.users
+        for row_no, (text_id, user_id, ts, mentions, pos, neg,
+                     text) in parsed:
+            if text_id in text_ids:
+                self.rejections.append(Rejection(row_no, REASON_DUPLICATE_ID))
+                continue
+            text_ids.add(text_id)
+            interned = []
+            for entity, conf in mentions:
+                if min_confidence is None or conf >= min_confidence:
+                    eid = entity_ids.get(entity)
+                    if eid is None:
+                        eid = entity_ids[entity] = len(entities)
+                        entities.append(entity)
+                    interned.append((eid, conf))
+            uid = user_ids.get(user_id)
+            if uid is None:
+                uid = user_ids[user_id] = len(users)
+                users.append(user_id)
+            self._size += 1
+            if self._min_ts is None or ts < self._min_ts:
+                self._min_ts = ts
+            if self._max_ts is None or ts > self._max_ts:
+                self._max_ts = ts
+            yield (text_id, uid, ts, tuple(interned), pos, neg, pos + neg,
+                   pos - neg - 2, text)
 
-    def _add(self, rec: AnnotatedText, min_confidence: float | None) -> None:
-        if rec.text_id in self._text_ids:
-            raise KeyError
-        self._text_ids.add(rec.text_id)
-        if min_confidence is None:
-            kept = rec.mentions
-        else:
-            kept = tuple(m for m in rec.mentions
-                         if m.confidence >= min_confidence)
-        mentions = tuple((self._intern_entity(m.entity_id), m.confidence)
-                         for m in kept)
-        uid = self._intern_user(rec.user_id)
-        pos, neg = rec.sentiment.positive, rec.sentiment.negative
-        row: Row = (rec.text_id, uid, rec.timestamp, mentions, pos, neg,
-                    pos + neg, pos - neg - 2, rec.text)
-        key = (rec.timestamp.year, rec.timestamp.month)
-        self._partitions.setdefault(key, []).append(row)
-        self._size += 1
-        if self._min_ts is None or rec.timestamp < self._min_ts:
-            self._min_ts = rec.timestamp
-        if self._max_ts is None or rec.timestamp > self._max_ts:
-            self._max_ts = rec.timestamp
-
-    def _seal(self) -> None:
-        for rows in self._partitions.values():
-            rows.sort(key=lambda r: r[2])
-        self._sealed = True
+    def _store(self, rows: Iterable[Row]) -> None:
+        """Keep ``rows`` in their month partitions, each sorted by time."""
+        parts = self._partitions
+        for row in rows:
+            ts = row[2]
+            parts.setdefault((ts.year, ts.month), []).append(row)
+        for part in parts.values():
+            part.sort(key=lambda r: r[2])
 
     def __len__(self) -> int:
         return self._size
@@ -324,6 +343,46 @@ def _open_source(source) -> tuple[Iterable[str], bool]:
     return source, False
 
 
+def _validated(source, rejections: list[Rejection]
+               ) -> Iterator[tuple[int, tuple]]:
+    """``(row, parsed)`` for each valid row of ``source``; each invalid row
+    is appended to ``rejections`` instead. Blank lines are skipped."""
+    stream, owned = _open_source(source)
+    row_no = 0
+    decoded: dict[str, str] = {}
+    try:
+        try:
+            for fields in csv.reader(stream):
+                row_no += 1
+                if not fields:
+                    continue
+                parsed = _convert(fields, decoded)
+                if isinstance(parsed, str):
+                    rejections.append(Rejection(row_no, parsed))
+                else:
+                    yield row_no, parsed
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            raise IngestError(f"unreadable source after row {row_no}: {exc}"
+                              ) from exc
+    finally:
+        if owned:
+            stream.close()
+
+
+def scan(source, min_confidence: float | None = None
+         ) -> tuple[Corpus, Iterator[Row]]:
+    """Accepted rows of ``source`` in file order, read lazily.
+
+    Takes the same arguments and applies the same rules as :func:`ingest`.
+    The returned corpus gains the interned ids, rejections and stats as the
+    iterator advances, but stores no rows: a caller that folds the rows
+    into something else never holds the whole archive.
+    """
+    corpus = Corpus()
+    return corpus, corpus._accept(_validated(source, corpus.rejections),
+                                  min_confidence)
+
+
 def ingest(source, min_confidence: float | None = None
            ) -> tuple[Corpus, CorpusStats]:
     """Read rows from ``source`` into an immutable corpus handle.
@@ -334,38 +393,46 @@ def ingest(source, min_confidence: float | None = None
     accumulate as rejections and never abort; an unreadable source raises
     :class:`IngestError` carrying the position reached.
     """
-    stream, owned = _open_source(source)
-    corpus = Corpus()
-    row_no = 0
-    try:
-        reader = csv.reader(stream)
-        try:
-            for fields in reader:
-                row_no += 1
-                if not fields:
-                    continue
-                rec = _convert(fields, row_no)
-                if isinstance(rec, Rejection):
-                    corpus.rejections.append(rec)
-                    continue
-                try:
-                    corpus._add(rec, min_confidence)
-                except KeyError:
-                    corpus.rejections.append(
-                        Rejection(row_no, REASON_DUPLICATE_ID))
-        except (OSError, UnicodeDecodeError, csv.Error) as exc:
-            raise IngestError(f"unreadable source after row {row_no}: {exc}"
-                              ) from exc
-    finally:
-        if owned:
-            stream.close()
-    corpus._seal()
+    corpus, rows = scan(source, min_confidence)
+    corpus._store(rows)
     return corpus, corpus.stats
+
+
+@contextmanager
+def write_atomic(path, binary: bool = False):
+    """Open a new file to write ``path``'s content into, and rename it over
+    ``path`` once the ``with`` block ends without error.
+
+    The temporary file sits beside ``path`` under a random name, created
+    exclusively, so concurrent writers never share one; on an error it is
+    removed and ``path`` is left as it was. Unlike ``tempfile.mkstemp``'s
+    0600 files, it gets the permissions the process umask gives a new file.
+    """
+    path = os.fspath(path)
+    while True:
+        tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+    try:
+        if binary:
+            fh = open(fd, "wb")
+        else:
+            fh = open(fd, "w", encoding="utf-8", newline="")
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def write_rejections(rejections: Iterable[Rejection], path) -> None:
     """Side report CSV with one ``row,reason`` line per rejection."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with write_atomic(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
         for r in rejections:
             w.writerow([r.row, r.reason])

@@ -11,7 +11,8 @@ One build pass over a corpus precomputes, per (entity, period):
 * a sparse co-occurrence map: co-entity -> (shared-text count, summed
   attitude over the shared texts) with self-pairs excluded,
 * the set of all entities appearing in the mentioning texts (the entity's
-  neighborhood, which includes the entity itself).
+  neighborhood, which includes the entity itself); it is exactly the
+  co-occurring entities plus the entity, and is derived from them.
 
 Per period it also keeps the total text and distinct-user counts, so every
 measure is answerable from the index without rescanning raw records.
@@ -20,24 +21,25 @@ Distinct users are counted exactly from per-group sets that are discarded
 after counting; ``approx_users=True`` swaps the sets for HyperLogLog
 sketches (<= 2% relative error) to bound memory on very wide corpora.
 
-Month partitions aggregate in parallel worker processes (forked; capped by
-``ENTITY_PULSE_THREADS``) and merge single-threaded. The built index is
-immutable and safe for unlimited concurrent readers.
+The build is one serial pass. :func:`build` runs it over an ingested
+corpus; :func:`build_streaming` runs it straight over a CSV source, so the
+archive itself is never held in memory. Both give identical indexes. The
+built index is immutable and safe for unlimited concurrent readers.
 """
 
 from __future__ import annotations
 
 import io
-import os
 import struct
 import zlib
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta, timezone
+from datetime import date
 from pathlib import Path
+from typing import Iterable
 
-from .corpus import Corpus
+from .corpus import Corpus, CorpusStats, Rejection, Row, scan, write_atomic
 from .sketch import HllCounter
-from .timeline import Granularity, Period, period_of
+from .timeline import Granularity, Period, period_containing, start_date
 
 MAGIC = b"EPX1"
 FORMAT_VERSION = 1
@@ -45,7 +47,8 @@ _GRANULARITY_CODES = {g: i for i, g in enumerate(Granularity)}
 _HEADER = struct.Struct("<4sHBBdIH")
 _SECTION_ENTRY = struct.Struct("<4sQQ")
 
-# Slot layout of the mutable per-(entity, period) accumulator.
+# Slot layout of a stored posting tuple; the build accumulator is a list
+# holding the first seven slots, with a user set (or sketch) at _USERS.
 _TC, _USERS, _ATT, _SENT, _POS, _NEG, _CO, _NEIGH = range(8)
 
 
@@ -134,16 +137,11 @@ class EntityIndex:
 
     def periods(self) -> list[Period]:
         """All non-empty periods, chronological."""
-        return [_period_from_start(d, self.granularity)
+        return [period_containing(d, self.granularity)
                 for d in sorted(self._slices)]
 
     def posting_count(self) -> int:
         return sum(len(per) for per in self._postings.values())
-
-
-def _period_from_start(start: date, g: Granularity) -> Period:
-    return period_of(datetime(start.year, start.month, start.day,
-                              tzinfo=timezone.utc), g)
 
 
 def posting(index: EntityIndex, entity: str, period: Period
@@ -155,203 +153,108 @@ def posting(index: EntityIndex, entity: str, period: Period
 # build
 # ---------------------------------------------------------------------------
 
-def resolve_workers(max_workers: int | None = None) -> int:
-    """Worker budget: min(cores, ENTITY_PULSE_THREADS, explicit cap)."""
-    cap = os.cpu_count() or 1
-    env = os.environ.get("ENTITY_PULSE_THREADS")
-    if env:
-        try:
-            cap = min(cap, max(1, int(env)))
-        except ValueError:
-            pass
-    if max_workers is not None:
-        cap = min(cap, max(1, max_workers))
-    return max(1, cap)
+def _aggregate(rows: Iterable[Row], g: Granularity, delta: float,
+               approx: bool) -> tuple[dict, dict]:
+    """One pass over compact rows into per-period ``[texts, users]`` and
+    per-posting accumulator lists, keyed by period start date.
 
-
-def _aggregate(partitions, g: Granularity, delta: float, approx: bool):
-    """Single-pass aggregation of month partitions into partial maps."""
+    Co-occurrence values are ``(texts, attitude sum)`` tuples, replaced on
+    each update, so the finalized index keeps the maps without a copy.
+    """
     new_counter = HllCounter if approx else set
     slices: dict[date, list] = {}
     posts: dict[date, dict[int, list]] = {}
-    is_day = g is Granularity.DAY
-    is_week = g is Granularity.WEEK
-    per_record = is_day or is_week
-    for (year, month), rows in partitions:
-        if g is Granularity.MONTH:
-            dkey = date(year, month, 1)
-        elif g is Granularity.YEAR:
-            dkey = date(year, 1, 1)
-        for row in rows:
-            uid, ts, mentions, phi = row[1], row[2], row[3], row[6]
-            if per_record:
-                d = ts.date()
-                dkey = d if is_day else d - timedelta(days=d.weekday())
-            sl = slices.get(dkey)
-            if sl is None:
-                sl = slices[dkey] = [0, new_counter()]
-            sl[0] += 1
-            sl[1].add(uid)
-            if not mentions:
-                continue
-            per = posts.get(dkey)
-            if per is None:
-                per = posts[dkey] = {}
-            psi = row[7]
-            strong_pos = phi >= delta
-            strong_neg = phi < 0 and phi <= -delta
-            eids = tuple(e for e, _ in mentions)
-            multi = len(eids) > 1
-            for e in eids:
-                p = per.get(e)
-                if p is None:
-                    p = per[e] = [0, new_counter(), 0, 0, 0, 0, {}, set()]
-                p[_TC] += 1
-                p[_USERS].add(uid)
-                p[_ATT] += phi
-                p[_SENT] += psi
-                if strong_pos:
-                    p[_POS] += 1
-                elif strong_neg:
-                    p[_NEG] += 1
-                p[_NEIGH].update(eids)
-                if multi:
-                    co = p[_CO]
-                    for e2 in eids:
-                        if e2 is e or e2 == e:
-                            continue
+    for row in rows:
+        uid, ts, mentions, phi = row[1], row[2], row[3], row[6]
+        dkey = start_date(ts.date(), g)
+        sl = slices.get(dkey)
+        if sl is None:
+            sl = slices[dkey] = [0, new_counter()]
+        sl[0] += 1
+        sl[1].add(uid)
+        if not mentions:
+            continue
+        per = posts.get(dkey)
+        if per is None:
+            per = posts[dkey] = {}
+        psi = row[7]
+        strong_pos = phi >= delta
+        strong_neg = phi < 0 and phi <= -delta
+        eids = [e for e, _ in mentions]
+        multi = len(eids) > 1
+        for e in eids:
+            p = per.get(e)
+            if p is None:
+                p = per[e] = [0, new_counter(), 0, 0, 0, 0, {}]
+            p[_TC] += 1
+            p[_USERS].add(uid)
+            p[_ATT] += phi
+            p[_SENT] += psi
+            if strong_pos:
+                p[_POS] += 1
+            elif strong_neg:
+                p[_NEG] += 1
+            if multi:
+                co = p[_CO]
+                for e2 in eids:
+                    if e2 != e:
                         pc = co.get(e2)
-                        if pc is None:
-                            co[e2] = [1, phi]
-                        else:
-                            pc[0] += 1
-                            pc[1] += phi
+                        co[e2] = (1, phi) if pc is None else (pc[0] + 1,
+                                                              pc[1] + phi)
     return slices, posts
 
 
-def _merge_into(acc, part) -> None:
-    slices, posts = acc
-    pslices, pposts = part
-    for dkey, (tt, users) in pslices.items():
-        sl = slices.get(dkey)
-        if sl is None:
-            slices[dkey] = [tt, users]
-        else:
-            sl[0] += tt
-            if isinstance(users, HllCounter):
-                sl[1].merge(users)
-            else:
-                sl[1].update(users)
-    for dkey, per in pposts.items():
-        dst = posts.get(dkey)
-        if dst is None:
-            posts[dkey] = per
-            continue
-        for eid, p in per.items():
-            q = dst.get(eid)
-            if q is None:
-                dst[eid] = p
-                continue
-            q[_TC] += p[_TC]
-            if isinstance(q[_USERS], HllCounter):
-                q[_USERS].merge(p[_USERS])
-            else:
-                q[_USERS].update(p[_USERS])
-            q[_ATT] += p[_ATT]
-            q[_SENT] += p[_SENT]
-            q[_POS] += p[_POS]
-            q[_NEG] += p[_NEG]
-            co = q[_CO]
-            for e2, pc in p[_CO].items():
-                qc = co.get(e2)
-                if qc is None:
-                    co[e2] = pc
-                else:
-                    qc[0] += pc[0]
-                    qc[1] += pc[1]
-            q[_NEIGH].update(p[_NEIGH])
-
-
-_FORK_STATE: tuple | None = None
-
-
-def _fork_worker(chunk_keys: list) -> tuple:
-    corpus, g, delta, approx = _FORK_STATE
-    parts = [(k, corpus._partitions[k]) for k in chunk_keys]
-    return _aggregate(parts, g, delta, approx)
-
-
-def _parallel_aggregate(corpus: Corpus, g: Granularity, delta: float,
-                        approx: bool, workers: int):
-    import multiprocessing
-
-    global _FORK_STATE
-    keys = [k for k, _ in corpus.partitions()]
-    # Contiguous chunks balanced by record count.
-    sizes = [len(corpus._partitions[k]) for k in keys]
-    target = max(1, sum(sizes) // workers)
-    chunks: list[list] = [[]]
-    load = 0
-    for k, n in zip(keys, sizes):
-        if load >= target and len(chunks) < workers:
-            chunks.append([])
-            load = 0
-        chunks[-1].append(k)
-        load += n
-    ctx = multiprocessing.get_context("fork")
-    _FORK_STATE = (corpus, g, delta, approx)
-    try:
-        with ctx.Pool(len(chunks)) as pool:
-            partials = pool.map(_fork_worker, chunks)
-    finally:
-        _FORK_STATE = None
-    acc = partials[0]
-    for part in partials[1:]:
-        _merge_into(acc, part)
-    return acc
-
-
 def _finalize(granularity: Granularity, delta: float, approx: bool,
-              entities: list[str], raw) -> EntityIndex:
-    raw_slices, raw_posts = raw
-    slices = {d: (sl[0], sl[1].count() if approx else len(sl[1]))
-              for d, sl in raw_slices.items()}
-    postings: dict[date, dict[int, tuple]] = {}
-    for d, per in raw_posts.items():
-        out = postings[d] = {}
+              entities: list[str], raw: tuple[dict, dict]) -> EntityIndex:
+    """Turn the accumulators into stored postings, in place: user counters
+    become counts and each posting gains its neighbor set."""
+    slices, posts = raw
+    count = HllCounter.count if approx else len
+    for d, (texts, users) in slices.items():
+        slices[d] = (texts, count(users))
+    for per in posts.values():
         for eid, p in per.items():
-            users = p[_USERS].count() if approx else len(p[_USERS])
-            cooccur = {e2: (pc[0], pc[1]) for e2, pc in p[_CO].items()}
-            out[eid] = (p[_TC], users, p[_ATT], p[_SENT], p[_POS], p[_NEG],
-                        cooccur, frozenset(p[_NEIGH]))
-    return EntityIndex(granularity, delta, approx, entities, slices, postings)
+            co = p[_CO]
+            per[eid] = (p[_TC], count(p[_USERS]), p[_ATT], p[_SENT], p[_POS],
+                        p[_NEG], co, frozenset(co).union((eid,)))
+    return EntityIndex(granularity, delta, approx, entities, slices, posts)
+
+
+def _check_delta(delta: float) -> None:
+    if not (0.0 <= delta <= 4.0):
+        raise ValueError(f"delta must be in [0, 4], got {delta}")
 
 
 def build(corpus: Corpus, granularity: Granularity, delta: float, *,
-          approx_users: bool = False, max_workers: int | None = None,
-          parallel_threshold: int = 200_000) -> EntityIndex:
+          approx_users: bool = False,
+          max_workers: int | None = None) -> EntityIndex:
     """Build an immutable index over ``corpus``.
 
     ``delta`` in [0, 4] fixes the strong-attitude threshold baked into the
-    per-posting strong counts. Partition aggregation runs in forked worker
-    processes when the corpus has at least ``parallel_threshold`` records
-    and more than one worker is allowed; results are merge-identical to the
-    serial path.
+    per-posting strong counts. The build is a single serial pass;
+    ``max_workers`` is accepted for compatibility with older callers and
+    ignored.
     """
-    if not (0.0 <= delta <= 4.0):
-        raise ValueError(f"delta must be in [0, 4], got {delta}")
-    workers = resolve_workers(max_workers)
-    parts = list(corpus.partitions())
-    use_parallel = (workers > 1 and len(parts) > 1
-                    and len(corpus) >= parallel_threshold
-                    and hasattr(os, "fork"))
-    if use_parallel:
-        raw = _parallel_aggregate(corpus, granularity, delta, approx_users,
-                                  workers)
-    else:
-        raw = _aggregate(parts, granularity, delta, approx_users)
+    _check_delta(delta)
+    raw = _aggregate(corpus._rows(), granularity, delta, approx_users)
     return _finalize(granularity, delta, approx_users,
                      list(corpus.entities), raw)
+
+
+def build_streaming(source, granularity: Granularity, delta: float, *,
+                    min_confidence: float | None = None,
+                    approx_users: bool = False
+                    ) -> tuple[EntityIndex, CorpusStats, list[Rejection]]:
+    """Index a CSV ``source`` in one pass, without holding the archive.
+
+    Equals ``build(ingest(source, min_confidence)[0], ...)``, and returns
+    that ingest's stats and rejections alongside the index.
+    """
+    _check_delta(delta)
+    corpus, rows = scan(source, min_confidence)
+    raw = _aggregate(rows, granularity, delta, approx_users)
+    return (_finalize(granularity, delta, approx_users, corpus.entities, raw),
+            corpus.stats, corpus.rejections)
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +337,10 @@ def save(index: EntityIndex, path) -> None:
                           _GRANULARITY_CODES[index.granularity], flags,
                           index.delta, zlib.crc32(payload_bytes),
                           len(sections))
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
+    with write_atomic(path, binary=True) as fh:
         fh.write(header)
         fh.write(table.getvalue())
         fh.write(payload_bytes)
-    os.replace(tmp, path)
 
 
 def load(path) -> EntityIndex:

@@ -22,10 +22,8 @@ from datetime import datetime
 from typing import Callable
 
 from .corpus import csv_line
-from .index import EntityIndex
+from .index import _ATT, _NEG, _POS, _SENT, _TC, _USERS, EntityIndex
 from .timeline import Period, enumerate_periods
-
-_TC, _USERS, _ATT, _SENT, _POS, _NEG = range(6)
 
 
 @dataclass(frozen=True, slots=True)

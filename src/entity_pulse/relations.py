@@ -26,12 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corpus import csv_line
-from .index import EntityIndex
+from .index import _CO, _NEIGH, _TC, EntityIndex
 from .timeline import Period
-
-_TC = 0
-_CO = 6
-_NEIGH = 7
 
 
 @dataclass(frozen=True, slots=True)

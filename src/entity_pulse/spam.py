@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Corpus, CorpusStats
+from .corpus import Corpus, CorpusStats, write_atomic
 
 CLASSES = ("spam", "ham")
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -101,12 +101,17 @@ def filter_corpus(corpus: Corpus, model: NBModel
                          "needs the extended 7-column schema")
     kept = Corpus()
     removed = 0
+    survivors = []
     for rec in corpus.records():
         if rec.text is not None and classify(model, rec.text)[0] == "spam":
             removed += 1
             continue
-        kept._add(rec, None)
-    kept._seal()
+        survivors.append((0, (rec.text_id, rec.user_id, rec.timestamp,
+                              tuple((m.entity_id, m.confidence)
+                                    for m in rec.mentions),
+                              rec.sentiment.positive, rec.sentiment.negative,
+                              rec.text)))
+    kept._store(kept._accept(survivors, None))
     return kept, removed
 
 
@@ -121,7 +126,8 @@ def save_model(model: NBModel, path) -> None:
         "vocabulary": vocab_order,
         "token_log_likelihood": model.token_log_likelihood,
     }
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    with write_atomic(path) as fh:
+        fh.write(json.dumps(doc))
 
 
 def load_model(path) -> NBModel:

@@ -27,11 +27,17 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from pathlib import Path
 
-from .corpus import csv_line
+from .corpus import csv_line, write_atomic
 from .timeline import (Granularity, Period, enumerate_periods,
                        parse_period_token)
 
 _M64 = (1 << 64) - 1
+
+# Most texts a scenario may plan for one (entity, period): its rate times
+# the product of its popularity-spike factors. generate() holds every row
+# in memory, so a larger plan could only exhaust memory (or, past float
+# range, fail outright); scenario_from_json rejects it instead.
+MAX_PLANNED_TEXTS = 1_000_000
 
 EVENT_KINDS = ("popularity-spike", "controversy-burst", "pair-link",
                "signed-pair", "spam-block")
@@ -159,6 +165,32 @@ def _validate_event(ev: dict, i: int, periods: list[Period],
     return out
 
 
+def _is_count(v) -> bool:
+    return (isinstance(v, int) and not isinstance(v, bool)
+            and 0 <= v <= MAX_PLANNED_TEXTS)
+
+
+def _check_planned_texts(events: list[dict], rates: dict[str, list[int]],
+                         periods: list[Period]) -> None:
+    """Name the first spike that lifts an (entity, period) plan, its rate
+    (taken as at least 1) times the product of its factors, past
+    ``MAX_PLANNED_TEXTS``."""
+    factors: dict[tuple[str, Period], float] = {}
+    for i, ev in enumerate(events):
+        if ev["kind"] != "popularity-spike":
+            continue
+        key = (ev["entity"], ev["period"])
+        factor = factors[key] = factors.get(key, 1.0) * ev["factor"]
+        entity_rates = rates.get(ev["entity"])
+        rate = entity_rates[periods.index(ev["period"])] if entity_rates else 0
+        if max(rate, 1) * factor > MAX_PLANNED_TEXTS:
+            raise _err(f"events[{i}].factor",
+                       f"plans {max(rate, 1) * factor:.3g} texts for "
+                       f"{ev['entity']!r} in {ev['period'].render()}; at "
+                       f"most {MAX_PLANNED_TEXTS} are allowed per (entity, "
+                       f"period)")
+
+
 def scenario_from_json(doc: dict) -> ScenarioSpec:
     """Validate a scenario document; errors name the offending field."""
     if not isinstance(doc, dict):
@@ -196,28 +228,30 @@ def scenario_from_json(doc: dict) -> ScenarioSpec:
             raise _err(f"{path}.id", f"duplicate entity {eid!r}")
         seen.add(eid)
         rate = ent.get("rate")
-        if isinstance(rate, int) and not isinstance(rate, bool) and rate >= 0:
+        if _is_count(rate):
             rates = [rate] * len(periods)
         elif (isinstance(rate, list) and len(rate) == len(periods)
-              and all(isinstance(r, int) and not isinstance(r, bool)
-                      and r >= 0 for r in rate)):
+              and all(_is_count(r) for r in rate)):
             rates = list(rate)
         else:
             raise _err(f"{path}.rate",
-                       f"must be an integer >= 0 or a list of "
-                       f"{len(periods)} such integers")
+                       f"must be an integer in [0, {MAX_PLANNED_TEXTS}] or "
+                       f"a list of {len(periods)} such integers")
         entities.append((eid, rates))
     prob = doc.get("extra_mention_prob", 0.0)
-    if not isinstance(prob, (int, float)) or not 0.0 <= prob < 1.0:
-        raise ScenarioError("extra_mention_prob: must be in [0, 1)")
+    if (not isinstance(prob, (int, float)) or isinstance(prob, bool)
+            or not 0.0 <= prob < 1.0):
+        raise ScenarioError("extra_mention_prob: must be a number in [0, 1)")
     overlap = doc.get("vocab_overlap", 0.2)
-    if not isinstance(overlap, (int, float)) or not 0.0 <= overlap <= 0.4:
-        raise ScenarioError("vocab_overlap: must be in [0, 0.4]")
+    if (not isinstance(overlap, (int, float)) or isinstance(overlap, bool)
+            or not 0.0 <= overlap <= 0.4):
+        raise ScenarioError("vocab_overlap: must be a number in [0, 0.4]")
     raw_events = doc.get("events", [])
     if not isinstance(raw_events, list):
         raise ScenarioError("events: must be a list")
     events = [_validate_event(ev, i, periods, g)
               for i, ev in enumerate(raw_events)]
+    _check_planned_texts(events, dict(entities), periods)
     return ScenarioSpec(seed, (start, end), g, users, entities,
                         float(prob), float(overlap), events)
 
@@ -381,11 +415,11 @@ def generate(spec: ScenarioSpec) -> tuple[list[str], dict]:
 def write_corpus(spec: ScenarioSpec, corpus_path, manifest_path=None) -> dict:
     """Write rows (and optionally the manifest) to disk; returns the manifest."""
     rows, manifest = generate(spec)
-    body = "\n".join(rows) + ("\n" if rows else "")
-    Path(corpus_path).write_text(body, encoding="utf-8")
+    with write_atomic(corpus_path) as fh:
+        fh.write("\n".join(rows) + ("\n" if rows else ""))
     if manifest_path is not None:
-        Path(manifest_path).write_text(
-            json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+        with write_atomic(manifest_path) as fh:
+            fh.write(json.dumps(manifest, indent=2) + "\n")
     return manifest
 
 

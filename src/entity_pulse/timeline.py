@@ -39,7 +39,8 @@ class Granularity(Enum):
                              f"{expected}") from None
 
 
-def _start_date(d: date, g: Granularity) -> date:
+def start_date(d: date, g: Granularity) -> date:
+    """First day of the period of granularity ``g`` that contains day ``d``."""
     if g is Granularity.DAY:
         return d
     if g is Granularity.WEEK:
@@ -96,11 +97,16 @@ def _from_start(sd: date, g: Granularity) -> Period:
                   datetime(ed.year, ed.month, ed.day, tzinfo=UTC), g)
 
 
+def period_containing(d: date, g: Granularity) -> Period:
+    """The period of granularity ``g`` containing the UTC day ``d``."""
+    return _from_start(start_date(d, g), g)
+
+
 def period_of(ts: datetime, g: Granularity) -> Period:
     """The unique period of granularity ``g`` containing ``ts``."""
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=UTC)
-    return _from_start(_start_date(ts.astimezone(UTC).date(), g), g)
+    return period_containing(ts.astimezone(UTC).date(), g)
 
 
 def enumerate_periods(window_start: datetime, window_end: datetime,
@@ -116,7 +122,7 @@ def enumerate_periods(window_start: datetime, window_end: datetime,
     if window_start >= window_end:
         return []
     out: list[Period] = []
-    sd = _start_date(window_start.astimezone(UTC).date(), g)
+    sd = start_date(window_start.astimezone(UTC).date(), g)
     end_limit = window_end.astimezone(UTC)
     while True:
         p = _from_start(sd, g)

@@ -1,6 +1,9 @@
 import gzip
+import os
 import random
+import stat
 from datetime import datetime, timezone
+from urllib.parse import unquote
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ import entity_pulse as ep
 from entity_pulse.corpus import (REASON_DUPLICATE_ID, REASON_FIELD_COUNT,
                                  REASON_MENTIONS, REASON_SENTIMENT,
                                  REASON_TIMESTAMP, IngestError, Rejection,
+                                 _parse_mentions, write_atomic,
                                  write_rejections)
 
 from helpers import row
@@ -70,6 +74,17 @@ class TestParseRecord:
     def test_percent_decoding(self):
         rec = ep.parse_record('t,u,2015-07-05T10:00:00Z,"a%3Ab%3Bc%2Cd:0.5",1,-1')
         assert rec.mentions[0].entity_id == "a:b;c,d"
+
+    def test_mention_ids_decode_as_unquote(self):
+        # Ids without "%" skip unquote; with one, they must still decode
+        # exactly as unquote does, stray and invalid escapes included.
+        heads = ["plain", "100%", "a%3Ab", "%41%42", "50%%", "%zz", "%E2%82%AC",
+                 "%ff", "dbp:Iraq_War"]
+        raw = ";".join(f"{h}:1.5" for h in heads)
+        want = tuple((unquote(h), 1.5) for h in heads)
+        decoded = {}
+        assert _parse_mentions(raw, decoded) == want
+        assert _parse_mentions(raw, decoded) == want  # memoised ids
 
     def test_offset_timestamp_normalized_to_utc(self):
         rec = ep.parse_record("t,u,2015-07-05T12:00:00+02:00,,1,-1")
@@ -226,3 +241,32 @@ class TestIngest:
         out = tmp_path / "rejects.csv"
         write_rejections(corpus.rejections, out)
         assert out.read_text() == f"1,{REASON_FIELD_COUNT}\n"
+
+
+class TestWriteAtomic:
+    def test_concurrent_writers_use_their_own_temp_files(self, tmp_path):
+        target = tmp_path / "out.txt"
+        with write_atomic(target) as a, write_atomic(target) as b:
+            a.write("from a\n")
+            b.write("from b\n")
+        # b is renamed into place first, then a replaces it whole.
+        assert target.read_text() == "from a\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_error_keeps_the_old_file_and_removes_the_temp(self, tmp_path):
+        target = tmp_path / "out.bin"
+        target.write_bytes(b"old")
+        with pytest.raises(RuntimeError):
+            with write_atomic(target, binary=True) as fh:
+                fh.write(b"partial")
+                raise RuntimeError("interrupted")
+        assert target.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["out.bin"]
+
+    def test_new_file_gets_umask_permissions(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("x")
+        with write_atomic(tmp_path / "atomic.txt") as fh:
+            fh.write("x")
+        mode = stat.S_IMODE(os.stat(tmp_path / "atomic.txt").st_mode)
+        assert mode == stat.S_IMODE(os.stat(plain).st_mode)

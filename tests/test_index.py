@@ -130,20 +130,6 @@ class TestOracleEquivalence:
         assert a._slices == b._slices
         assert a._postings == b._postings
 
-    def test_parallel_build_equals_serial(self):
-        _, corpus, _ = build_random_corpus(4, 800)
-        serial = build(corpus, max_workers=1)
-        parallel = build(corpus, max_workers=2, parallel_threshold=1)
-        assert serial._slices == parallel._slices
-        assert serial._postings == parallel._postings
-        assert serial.entities == parallel.entities
-
-    def test_thread_env_caps_workers(self, monkeypatch):
-        monkeypatch.setenv("ENTITY_PULSE_THREADS", "1")
-        assert ep.index.resolve_workers() == 1
-        monkeypatch.setenv("ENTITY_PULSE_THREADS", "not-a-number")
-        assert ep.index.resolve_workers(max_workers=1) == 1
-
 
 class TestDeltaMonotonicity:
     def test_raising_delta_never_raises_strong_counts(self):
@@ -249,7 +235,7 @@ class TestPersistence:
 class TestApproxUsers:
     def test_sketch_mode_within_two_percent(self):
         # 5000 distinct users over one month; linear-counting regime for
-        # the p=12 sketch, so the estimate lands well inside 2%.
+        # the p=14 sketch, so the estimate lands well inside 2%.
         rows = [row(f"t{i}", f"user{i}", "2015-07-05T10:00:00Z",
                     [("A", 1.0)], 1, -1) for i in range(5000)]
         corpus = make_corpus(rows)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import entity_pulse as ep
-from entity_pulse.synth import SplitMix64, class_pools
+from entity_pulse.synth import MAX_PLANNED_TEXTS, SplitMix64, class_pools
 
 from helpers import make_corpus, month, window
 
@@ -127,11 +127,23 @@ class TestValidation:
         ({"events": [spike(float("nan"))]}, "events[0].factor"),
         ({"events": [spike(float("inf"))]}, "events[0].factor"),
         ({"events": [spike(True)]}, "events[0].factor"),
+        ({"extra_mention_prob": False}, "extra_mention_prob"),
+        ({"extra_mention_prob": True}, "extra_mention_prob"),
+        ({"vocab_overlap": False}, "vocab_overlap"),
+        ({"vocab_overlap": True}, "vocab_overlap"),
     ])
     def test_ill_typed_values_name_the_field(self, overrides, needle):
         with pytest.raises(ep.ScenarioError) as err:
             ep.scenario_from_json(doc_with(**overrides))
         assert needle in str(err.value)
+
+    def test_planned_texts_bound_is_inclusive(self):
+        doc = doc_with(entities=[{"id": "ent:A", "rate": 2}],
+                       events=[spike(MAX_PLANNED_TEXTS / 2)])
+        ep.scenario_from_json(doc)
+        doc["events"].append(spike(1.5))
+        with pytest.raises(ep.ScenarioError, match=r"events\[1\]\.factor"):
+            ep.scenario_from_json(doc)
 
     def test_load_scenario_file(self, tmp_path):
         path = tmp_path / "scenario.json"
