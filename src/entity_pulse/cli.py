@@ -9,7 +9,9 @@ error. An unknown entity is an answer (empty/zero output), not an error.
 
 Every subcommand accepts ``--config FILE`` with a JSON object of option
 defaults (keys match option names with dashes as underscores); explicit
-flags win over the config file.
+flags win over the config file. A config value must be of its option's
+kind: a number (an integer where the option takes one), one of the
+option's choices, true/false for a flag, or else a string.
 """
 
 from __future__ import annotations
@@ -81,14 +83,38 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
             raise CliError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(config, dict):
             raise CliError("config file must hold a JSON object")
+    actions = {a.dest: a for a in parser._actions}
     for key, value in vars(args).items():
         if value is None:
-            merged = config.get(key, _DEFAULTS.get(key))
-            setattr(args, key, merged)
+            if key in config:
+                setattr(args, key, _config_value(actions[key], config[key]))
+            else:
+                setattr(args, key, _DEFAULTS.get(key))
     for key in required:
         if getattr(args, key) is None:
             parser.error(f"missing required option --{key.replace('_', '-')}")
     return args
+
+
+def _config_value(action: argparse.Action, value):
+    """A config file's ``value`` for ``action``'s option, held to what the
+    command line accepts there; raises CliError naming the key."""
+    if action.nargs == 0:  # a store_true flag
+        ok, kind = isinstance(value, bool), "true or false"
+    elif action.type is int:
+        ok, kind = type(value) is int, "an integer"
+    elif action.type is float:
+        ok, kind = type(value) in (int, float), "a number"
+        value = float(value) if ok else value
+    else:
+        ok, kind = isinstance(value, str), "a string"
+    if action.choices is not None:
+        ok = ok and value in action.choices
+        kind += f" in {list(action.choices)}"
+    if not ok:
+        raise CliError(f"config {action.dest}: expected {kind}, "
+                       f"got {value!r}")
+    return value
 
 
 def _load_index(args) -> index_mod.EntityIndex:
@@ -181,7 +207,9 @@ def _cmd_index(args, parser):
 def _cmd_inspect(args, parser):
     _merge_config(args, parser, ("index",))
     try:
-        print(json.dumps(index_mod.inspect_file(args.index), indent=2))
+        print(json.dumps(index_mod.inspect_file(args.index,
+                                                verify=bool(args.verify)),
+                         indent=2))
     except index_mod.IndexFormatError as exc:
         raise CliError(str(exc)) from exc
     return 0
@@ -305,6 +333,7 @@ def _cmd_generate(args, parser):
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="JSON file with option defaults")
+    sp.set_defaults(subparser=sp)
 
 
 def _add_output(sp: argparse.ArgumentParser) -> None:
@@ -356,6 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inspect", help="dump index container stats as JSON")
     p.add_argument("--index")
+    p.add_argument("--verify", action="store_true", default=None,
+                   help="decode and check every posting block too")
     _add_common(p)
     p.set_defaults(handler=_cmd_inspect)
 
@@ -426,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args, parser)
+        return args.handler(args, args.subparser)
     except CliError as exc:
         _diag({"error": str(exc)})
         return 1

@@ -9,10 +9,11 @@ One build pass over a corpus precomputes, per (entity, period):
   attitude <= -delta as strongly negative; an exactly-neutral text counts
   on the positive side only, so the two sets stay disjoint at delta = 0),
 * a sparse co-occurrence map: co-entity -> (shared-text count, summed
-  attitude over the shared texts) with self-pairs excluded,
-* the set of all entities appearing in the mentioning texts (the entity's
-  neighborhood, which includes the entity itself); it is exactly the
-  co-occurring entities plus the entity, and is derived from them.
+  attitude over the shared texts) with self-pairs excluded.
+
+An entity's neighborhood (every entity appearing in its mentioning texts,
+itself included) is not stored: it is exactly the co-occurring entities
+plus the entity.
 
 Per period it also keeps the total text and distinct-user counts, so every
 measure is answerable from the index without rescanning raw records.
@@ -23,33 +24,40 @@ sketches (<= 2% relative error) to bound memory on very wide corpora.
 
 The build is one serial pass. :func:`build` runs it over an ingested
 corpus; :func:`build_streaming` runs it straight over a CSV source, so the
-archive itself is never held in memory. Both give identical indexes. The
-built index is immutable and safe for unlimited concurrent readers.
+archive itself is never held in memory. Both give identical indexes.
+
+Postings are kept entity first, ``{entity id: {period start: posting}}``,
+because every query reads one entity's postings (or a pair's, or a set's)
+across periods. An index read by :func:`load` has the same layout, filled
+in one entity at a time: an entity's postings are decoded from its block
+in the file the first time a query touches it. The index never changes
+otherwise and is safe for concurrent readers; two readers decoding the
+same block at once store equal dicts.
 """
 
 from __future__ import annotations
 
-import io
 import struct
 import zlib
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .corpus import Corpus, CorpusStats, Rejection, Row, scan, write_atomic
 from .sketch import HllCounter
 from .timeline import Granularity, Period, period_containing, start_date
 
-MAGIC = b"EPX1"
-FORMAT_VERSION = 1
+MAGIC = b"EPX2"
+FORMAT_VERSION = 2
 _GRANULARITY_CODES = {g: i for i, g in enumerate(Granularity)}
 _HEADER = struct.Struct("<4sHBBdIH")
 _SECTION_ENTRY = struct.Struct("<4sQQ")
+_FLAG_APPROX_USERS = 1
 
 # Slot layout of a stored posting tuple; the build accumulator is a list
-# holding the first seven slots, with a user set (or sketch) at _USERS.
-_TC, _USERS, _ATT, _SENT, _POS, _NEG, _CO, _NEIGH = range(8)
+# of the same slots, with a user set (or sketch) at _USERS.
+_TC, _USERS, _ATT, _SENT, _POS, _NEG, _CO = range(7)
 
 
 class IndexFormatError(Exception):
@@ -83,7 +91,8 @@ class EntityIndex:
     def __init__(self, granularity: Granularity, delta: float,
                  approx_users: bool, entities: list[str],
                  slices: dict[date, tuple[int, int]],
-                 postings: dict[date, dict[int, tuple]]) -> None:
+                 postings: dict[int, dict[date, tuple]], posting_total: int,
+                 blocks: _Blocks | None = None) -> None:
         self.granularity = granularity
         self.delta = delta
         self.approx_users = approx_users
@@ -91,6 +100,16 @@ class EntityIndex:
         self._entity_ids = {e: i for i, e in enumerate(entities)}
         self._slices = slices
         self._postings = postings
+        self._posting_total = posting_total
+        self._blocks = blocks
+
+    def _entity_postings(self, eid: int) -> dict[date, tuple]:
+        """The entity's postings, decoded from its block on first touch."""
+        per = self._postings.get(eid)
+        if per is None:
+            per = {} if self._blocks is None else self._blocks.decode(eid)
+            self._postings[eid] = per
+        return per
 
     # -- raw accessors (hot path for measures/relations) --------------------
 
@@ -113,8 +132,10 @@ class EntityIndex:
         eid = self._entity_ids.get(entity)
         if eid is None:
             return None
-        per = self._postings.get(self._check_period(period))
-        return None if per is None else per.get(eid)
+        per = self._postings.get(eid)
+        if per is None:
+            per = self._entity_postings(eid)
+        return per.get(self._check_period(period))
 
     # -- public views --------------------------------------------------------
 
@@ -130,10 +151,9 @@ class EntityIndex:
             return None
         names = self.entities
         cooccur = {names[e]: (c, a) for e, (c, a) in raw[_CO].items()}
-        neighbors = frozenset(names[e] for e in raw[_NEIGH])
         return EntityPosting(entity, period, raw[_TC], raw[_USERS], raw[_ATT],
                              raw[_SENT], raw[_POS], raw[_NEG], cooccur,
-                             neighbors)
+                             frozenset(cooccur).union((entity,)))
 
     def periods(self) -> list[Period]:
         """All non-empty periods, chronological."""
@@ -141,7 +161,27 @@ class EntityIndex:
                 for d in sorted(self._slices)]
 
     def posting_count(self) -> int:
-        return sum(len(per) for per in self._postings.values())
+        return self._posting_total
+
+    def dump(self) -> dict:
+        """Every slice and every posting as plain data, in canonical order.
+
+        Decodes every block of a loaded index. Two indexes answer every
+        query alike exactly when their dumps are equal.
+        """
+        return {
+            "granularity": self.granularity.value,
+            "delta": self.delta,
+            "approx_users": self.approx_users,
+            "entities": list(self.entities),
+            "posting_count": self._posting_total,
+            "slices": [(d.isoformat(), *self._slices[d])
+                       for d in sorted(self._slices)],
+            "postings": [(eid, d.isoformat(), *p[:_CO], sorted(p[_CO].items()))
+                         for eid in range(len(self.entities))
+                         for d, p in sorted(
+                             self._entity_postings(eid).items())],
+        }
 
 
 def posting(index: EntityIndex, entity: str, period: Period
@@ -160,6 +200,9 @@ def _aggregate(rows: Iterable[Row], g: Granularity, delta: float,
 
     Co-occurrence values are ``(texts, attitude sum)`` tuples, replaced on
     each update, so the finalized index keeps the maps without a copy.
+    The accumulators are keyed period first, not entity first as the index
+    is, because the rows of one text share a period: one lookup per text
+    instead of one per mention.
     """
     new_counter = HllCounter if approx else set
     slices: dict[date, list] = {}
@@ -206,18 +249,26 @@ def _aggregate(rows: Iterable[Row], g: Granularity, delta: float,
 
 def _finalize(granularity: Granularity, delta: float, approx: bool,
               entities: list[str], raw: tuple[dict, dict]) -> EntityIndex:
-    """Turn the accumulators into stored postings, in place: user counters
-    become counts and each posting gains its neighbor set."""
+    """Turn the accumulators into stored postings keyed entity first, each
+    entity's in period order: user counters become counts, and each
+    period's accumulators are dropped once moved."""
     slices, posts = raw
     count = HllCounter.count if approx else len
     for d, (texts, users) in slices.items():
         slices[d] = (texts, count(users))
-    for per in posts.values():
-        for eid, p in per.items():
-            co = p[_CO]
-            per[eid] = (p[_TC], count(p[_USERS]), p[_ATT], p[_SENT], p[_POS],
-                        p[_NEG], co, frozenset(co).union((eid,)))
-    return EntityIndex(granularity, delta, approx, entities, slices, posts)
+    postings: dict[int, dict[date, tuple]] = {}
+    total = 0
+    for d in sorted(posts):
+        per_period = posts.pop(d)
+        total += len(per_period)
+        for eid, p in per_period.items():
+            per = postings.get(eid)
+            if per is None:
+                per = postings[eid] = {}
+            per[d] = (p[_TC], count(p[_USERS]), p[_ATT], p[_SENT], p[_POS],
+                      p[_NEG], p[_CO])
+    return EntityIndex(granularity, delta, approx, entities, slices, postings,
+                       total)
 
 
 def _check_delta(delta: float) -> None:
@@ -258,93 +309,178 @@ def build_streaming(source, granularity: Granularity, delta: float, *,
 
 
 # ---------------------------------------------------------------------------
-# persistence: EPX1 container
+# persistence: EPX2 container
 # ---------------------------------------------------------------------------
 #
 # Little-endian layout:
-#   header:  magic "EPX1" | version u16 | granularity u8 | flags u8
+#   header:  magic "EPX2" | version u16 | granularity u8 | flags u8
 #            | delta f64 | crc32 u32 (over the payload region) | sections u16
 #   table:   per section: tag 4s | offset u64 | length u64
 #   payload: SDIC  entity dictionary: count u32, then len u32 + utf-8 bytes
-#            SLIC  slices: count u32, then start-ordinal i32,
-#                  text_total u64, user_total u64
-#            POST  postings: count u64, then per posting:
-#                  entity u32, start-ordinal i32, text_count u64,
-#                  user_count u64, attitude_sum i64, sentimentality_sum i64,
-#                  strong_pos u64, strong_neg u64,
-#                  cooccur count u32 + (entity u32, texts u64, attitude i64)*,
-#                  neighbor count u32 + entity u32*
+#            SLIC  slices: count u32, then per period, ascending:
+#                  start-ordinal i32, text_total u64, user_total u64
+#            POST  one block per entity, in entity-id order; a block holds
+#                  the entity's postings in ascending period order:
+#                  start-ordinal i32, text_count u64, user_count u64,
+#                  attitude_sum i64, sentimentality_sum i64,
+#                  strong_pos u64, strong_neg u64, cooccur count u32,
+#                  then per co-entity, ascending: entity u32, texts u64,
+#                  attitude i64
+#            PDIR  block directory: count u32 (= entities), total postings
+#                  u64, then per entity id: block offset u64 (from the
+#                  start of POST) and posting count u32. A block ends where
+#                  the next one starts; the last ends with POST.
 #
 # All strings live in the SDIC dictionary; postings reference them by id.
+# The writer streams SDIC, SLIC, POST and then PDIR, so that it never holds
+# the encoded payload, and writes the header last.
+#
+# Checks: `load` reads the file once and checks the header, the section
+# table and the CRC, and decodes and checks SDIC (distinct names), SLIC
+# (ordinals strictly increasing and aligned to the granularity) and PDIR
+# (blocks tile POST, counts sum to the total). A block is checked when it
+# is first decoded: its ordinals strictly increase and each has a slice,
+# every text count is at least 1, every co-entity id is a known entity
+# other than the block's own, in ascending order, with a shared-text count
+# in [1, text count], and the block ends exactly at its length.
 
 _SLICE_REC = struct.Struct("<iQQ")
-_POST_HEAD = struct.Struct("<IiQQqqQQ")
+_POST_REC = struct.Struct("<iQQqqQQI")
 _CO_REC = struct.Struct("<IQq")
+_DIR_HEAD = struct.Struct("<IQ")
+_DIR_REC = struct.Struct("<QI")
 _U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
+_SECTIONS = (b"SDIC", b"SLIC", b"POST", b"PDIR")
+_MALFORMED = (struct.error, ValueError, OverflowError)
 
 
-def _encode_sections(index: EntityIndex) -> list[tuple[bytes, bytes]]:
-    sdic = io.BytesIO()
-    sdic.write(_U32.pack(len(index.entities)))
-    for name in index.entities:
-        raw = name.encode("utf-8")
-        sdic.write(_U32.pack(len(raw)))
-        sdic.write(raw)
+class _Blocks:
+    """The undecoded POST section of a loaded index, with its directory."""
 
-    slic = io.BytesIO()
-    slic.write(_U32.pack(len(index._slices)))
-    for d in sorted(index._slices):
-        tt, ut = index._slices[d]
-        slic.write(_SLICE_REC.pack(d.toordinal(), tt, ut))
+    __slots__ = ("post", "offsets", "counts", "slices", "n_entities")
 
-    post = io.BytesIO()
-    post.write(_U64.pack(index.posting_count()))
-    for d in sorted(index._postings):
-        per = index._postings[d]
-        ordinal = d.toordinal()
-        for eid in sorted(per):
-            tc, uc, att, sent, pos, neg, co, neigh = per[eid]
-            post.write(_POST_HEAD.pack(eid, ordinal, tc, uc, att, sent,
-                                       pos, neg))
-            post.write(_U32.pack(len(co)))
+    def __init__(self, post: memoryview, offsets: list[int],
+                 counts: list[int], slices: dict[date, tuple[int, int]]):
+        self.post = post
+        self.offsets = offsets  # one per entity, then the end of POST
+        self.counts = counts
+        self.slices = slices
+        self.n_entities = len(counts)
+
+    def decode(self, eid: int) -> dict[date, tuple]:
+        """Entity ``eid``'s postings; a malformed block raises
+        IndexFormatError."""
+        try:
+            return self._decode(eid)
+        except _MALFORMED as exc:
+            raise IndexFormatError(
+                f"malformed posting block of entity {eid}: {exc}") from exc
+
+    def _decode(self, eid: int) -> dict[date, tuple]:
+        buf = self.post
+        pos, end = self.offsets[eid], self.offsets[eid + 1]
+        slices, n_entities = self.slices, self.n_entities
+        out: dict[date, tuple] = {}
+        last = -(1 << 31)  # below every i32 ordinal
+        for _ in range(self.counts[eid]):
+            if pos + _POST_REC.size > end:
+                raise ValueError("block overrun")
+            ordinal, tc, uc, att, sent, spos, sneg, nco = \
+                _POST_REC.unpack_from(buf, pos)
+            pos += _POST_REC.size
+            if ordinal <= last:
+                raise ValueError("periods not strictly increasing")
+            last = ordinal
+            d = date.fromordinal(ordinal)
+            if d not in slices:
+                raise ValueError(f"posting in {d} has no period slice")
+            if tc < 1:
+                raise ValueError(f"posting in {d} has no texts")
+            co_end = pos + nco * _CO_REC.size
+            if co_end > end:
+                raise ValueError("block overrun")
+            co: dict[int, tuple[int, int]] = {}
+            prev = -1
+            for e2, c, a in _CO_REC.iter_unpack(buf[pos:co_end]):
+                if not prev < e2 < n_entities or e2 == eid:
+                    raise ValueError(f"bad co-entity reference {e2}")
+                if not 1 <= c <= tc:
+                    raise ValueError(f"bad shared-text count {c}")
+                prev = e2
+                co[e2] = (c, a)
+            pos = co_end
+            out[d] = (tc, uc, att, sent, spos, sneg, co)
+        if pos != end:
+            raise ValueError("block does not end at its length")
+        return out
+
+
+def _block_chunks(index: EntityIndex, directory: list[tuple[int, int]]
+                  ) -> Iterator[bytearray]:
+    """Encode each entity's block in id order, recording ``(offset,
+    count)`` for it in ``directory``."""
+    offset = 0
+    for eid in range(len(index.entities)):
+        per = index._entity_postings(eid)
+        block = bytearray()
+        for d in sorted(per):
+            tc, uc, att, sent, spos, sneg, co = per[d]
+            block += _POST_REC.pack(d.toordinal(), tc, uc, att, sent, spos,
+                                    sneg, len(co))
             for e2 in sorted(co):
-                c, a = co[e2]
-                post.write(_CO_REC.pack(e2, c, a))
-            post.write(_U32.pack(len(neigh)))
-            for e2 in sorted(neigh):
-                post.write(_U32.pack(e2))
-
-    return [(b"SDIC", sdic.getvalue()), (b"SLIC", slic.getvalue()),
-            (b"POST", post.getvalue())]
+                block += _CO_REC.pack(e2, *co[e2])
+        directory.append((offset, len(per)))
+        offset += len(block)
+        yield block
 
 
 def save(index: EntityIndex, path) -> None:
-    """Write the index as a self-describing EPX1 container (atomic)."""
-    sections = _encode_sections(index)
-    table_len = _SECTION_ENTRY.size * len(sections)
-    base = _HEADER.size + table_len
-    table = io.BytesIO()
-    payload = io.BytesIO()
-    offset = base
-    for tag, body in sections:
-        table.write(_SECTION_ENTRY.pack(tag, offset, len(body)))
-        payload.write(body)
-        offset += len(body)
-    payload_bytes = payload.getvalue()
-    flags = 1 if index.approx_users else 0
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION,
-                          _GRANULARITY_CODES[index.granularity], flags,
-                          index.delta, zlib.crc32(payload_bytes),
-                          len(sections))
+    """Write the index as a self-describing EPX2 container (atomic)."""
+    sdic = bytearray(_U32.pack(len(index.entities)))
+    for name in index.entities:
+        raw = name.encode("utf-8")
+        sdic += _U32.pack(len(raw))
+        sdic += raw
+    slic = bytearray(_U32.pack(len(index._slices)))
+    for d in sorted(index._slices):
+        slic += _SLICE_REC.pack(d.toordinal(), *index._slices[d])
+    directory: list[tuple[int, int]] = []
+
+    def pdir() -> Iterator[bytes]:
+        # Runs after the POST chunks, which fill ``directory``.
+        yield _DIR_HEAD.pack(len(directory), index.posting_count())
+        yield b"".join(_DIR_REC.pack(*entry) for entry in directory)
+
+    base = _HEADER.size + _SECTION_ENTRY.size * len(_SECTIONS)
+    table = bytearray()
+    crc, offset = 0, base
     with write_atomic(path, binary=True) as fh:
-        fh.write(header)
-        fh.write(table.getvalue())
-        fh.write(payload_bytes)
+        fh.write(bytes(base))
+        for tag, chunks in zip(_SECTIONS, ([sdic], [slic],
+                                           _block_chunks(index, directory),
+                                           pdir())):
+            start = offset
+            for chunk in chunks:
+                fh.write(chunk)
+                crc = zlib.crc32(chunk, crc)
+                offset += len(chunk)
+            table += _SECTION_ENTRY.pack(tag, start, offset - start)
+        fh.seek(0)
+        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION,
+                              _GRANULARITY_CODES[index.granularity],
+                              _FLAG_APPROX_USERS if index.approx_users else 0,
+                              index.delta, crc, len(_SECTIONS)))
+        fh.write(table)
 
 
 def load(path) -> EntityIndex:
-    """Load an EPX1 container; any corruption raises IndexFormatError."""
+    """Open an EPX2 container; any corruption raises IndexFormatError,
+    in a posting block at the first query that touches it."""
+    return _open(path)[0]
+
+
+def _open(path) -> tuple[EntityIndex, dict]:
+    """The index in ``path`` and the container facts ``inspect`` reports."""
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -353,64 +489,87 @@ def load(path) -> EntityIndex:
         raise IndexFormatError("truncated header")
     magic, version, gcode, flags, delta, crc, nsections = _HEADER.unpack_from(
         blob, 0)
-    if magic != MAGIC:
+    if magic[:3] != MAGIC[:3]:
         raise IndexFormatError(f"bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise IndexFormatError(f"unsupported format version {version}")
+    if (magic, version) != (MAGIC, FORMAT_VERSION):
+        raise IndexFormatError(f"unsupported format version {version} "
+                               f"(magic {magic!r}); expected "
+                               f"{FORMAT_VERSION}")
     table_end = _HEADER.size + _SECTION_ENTRY.size * nsections
     if len(blob) < table_end:
         raise IndexFormatError("truncated section table")
-    if zlib.crc32(blob[table_end:]) != crc:
-        raise IndexFormatError("checksum mismatch (corrupt or truncated file)")
-    sections: dict[bytes, memoryview] = {}
     view = memoryview(blob)
-    for i in range(nsections):
-        tag, off, length = _SECTION_ENTRY.unpack_from(
-            blob, _HEADER.size + i * _SECTION_ENTRY.size)
-        if off + length > len(blob):
-            raise IndexFormatError(f"section {tag!r} out of bounds")
-        sections[tag] = view[off:off + length]
+    if zlib.crc32(view[table_end:]) != crc:
+        raise IndexFormatError("checksum mismatch (corrupt or truncated file)")
     try:
         granularity = list(Granularity)[gcode]
     except IndexError:
         raise IndexFormatError(f"bad granularity code {gcode}") from None
-    try:
-        entities = _decode_sdic(sections[b"SDIC"])
-        slices = _decode_slic(sections[b"SLIC"])
-        postings = _decode_post(sections[b"POST"], len(entities))
-    except KeyError as exc:
-        raise IndexFormatError(f"missing section {exc}") from None
-    except (struct.error, ValueError, OverflowError) as exc:
-        raise IndexFormatError(f"malformed section data: {exc}") from exc
-    return EntityIndex(granularity, delta, bool(flags & 1), entities,
-                       slices, postings)
-
-
-def inspect_file(path) -> dict:
-    """Human/machine-readable container stats for ``epx inspect``."""
-    index = load(path)
-    blob_len = Path(path).stat().st_size
-    blob = Path(path).read_bytes()
-    _, version, gcode, flags, delta, crc, nsections = _HEADER.unpack_from(
-        blob, 0)
-    sections = {}
+    if flags & ~_FLAG_APPROX_USERS:
+        raise IndexFormatError(f"unknown flags {flags:#x}")
+    if not 0.0 <= delta <= 4.0:
+        raise IndexFormatError(f"delta {delta} outside [0, 4]")
+    sections: dict[bytes, memoryview] = {}
+    table: dict[str, dict[str, int]] = {}
     for i in range(nsections):
         tag, off, length = _SECTION_ENTRY.unpack_from(
             blob, _HEADER.size + i * _SECTION_ENTRY.size)
-        sections[tag.decode("ascii")] = {"offset": off, "bytes": length}
-    return {
-        "magic": MAGIC.decode("ascii"),
-        "version": version,
+        if off < table_end or off + length > len(blob):
+            raise IndexFormatError(f"section {tag!r} out of bounds")
+        sections[tag] = view[off:off + length]
+        table[tag.decode("ascii", "replace")] = {"offset": off,
+                                                 "bytes": length}
+    try:
+        entities = _decode_sdic(sections[b"SDIC"])
+        slices = _decode_slic(sections[b"SLIC"], granularity)
+        offsets, counts, total = _decode_pdir(sections[b"PDIR"],
+                                              len(entities),
+                                              len(sections[b"POST"]))
+    except KeyError as exc:
+        raise IndexFormatError(f"missing section {exc}") from None
+    except _MALFORMED as exc:
+        raise IndexFormatError(f"malformed section data: {exc}") from exc
+    index = EntityIndex(granularity, delta, bool(flags & _FLAG_APPROX_USERS),
+                        entities, slices, {}, total,
+                        _Blocks(sections[b"POST"], offsets, counts, slices))
+    if len(index._entity_ids) != len(entities):
+        raise IndexFormatError("duplicate entity names")
+    facts = {"magic": MAGIC.decode("ascii"), "version": version, "crc32": crc,
+             "file_bytes": len(blob), "sections": table}
+    return index, facts
+
+
+def inspect_file(path, verify: bool = False) -> dict:
+    """Container stats for ``epx inspect``, read from the header, the
+    section table and the block directory.
+
+    ``verify=True`` also decodes and checks every posting block (raising
+    IndexFormatError at the first bad one) and adds the co-occurrence pair
+    count and the largest co-occurrence fan-out of a posting.
+    """
+    index, facts = _open(path)
+    out = {
+        "magic": facts["magic"],
+        "version": facts["version"],
         "granularity": index.granularity.value,
-        "delta": delta,
+        "delta": index.delta,
         "approx_users": index.approx_users,
-        "crc32": crc,
-        "file_bytes": blob_len,
-        "sections": sections,
+        "crc32": facts["crc32"],
+        "file_bytes": facts["file_bytes"],
+        "sections": facts["sections"],
         "entities": len(index.entities),
         "periods": len(index._slices),
         "postings": index.posting_count(),
     }
+    if verify:
+        pairs = fanout_max = 0
+        for eid in range(len(index.entities)):
+            for p in index._blocks.decode(eid).values():
+                pairs += len(p[_CO])
+                fanout_max = max(fanout_max, len(p[_CO]))
+        out["cooccur_pairs"] = pairs
+        out["cooccur_fanout_max"] = fanout_max
+    return out
 
 
 def _decode_sdic(buf: memoryview) -> list[str]:
@@ -422,53 +581,48 @@ def _decode_sdic(buf: memoryview) -> list[str]:
         pos += 4
         if pos + n > len(buf):
             raise ValueError("string dictionary overrun")
-        out.append(bytes(buf[pos:pos + n]).decode("utf-8"))
+        out.append(str(buf[pos:pos + n], "utf-8"))
         pos += n
     if pos != len(buf):
         raise ValueError("trailing bytes in string dictionary")
     return out
 
 
-def _decode_slic(buf: memoryview) -> dict[date, tuple[int, int]]:
+def _decode_slic(buf: memoryview, g: Granularity
+                 ) -> dict[date, tuple[int, int]]:
     (count,) = _U32.unpack_from(buf, 0)
-    pos = 4
+    if 4 + count * _SLICE_REC.size != len(buf):
+        raise ValueError("slice section length does not match its count")
     out: dict[date, tuple[int, int]] = {}
-    for _ in range(count):
-        ordinal, tt, ut = _SLICE_REC.unpack_from(buf, pos)
-        pos += _SLICE_REC.size
-        out[date.fromordinal(ordinal)] = (tt, ut)
-    if pos != len(buf):
-        raise ValueError("trailing bytes in slice section")
+    last = None
+    for ordinal, tt, ut in _SLICE_REC.iter_unpack(buf[4:]):
+        d = date.fromordinal(ordinal)
+        if last is not None and d <= last:
+            raise ValueError("slice periods not strictly increasing")
+        if start_date(d, g) != d:
+            raise ValueError(f"slice {d} is not the start of a {g.value}")
+        out[d] = (tt, ut)
+        last = d
+    if last is not None:
+        period_containing(last, g)  # the last period must end before date.max
     return out
 
 
-def _decode_post(buf: memoryview, n_entities: int
-                 ) -> dict[date, dict[int, tuple]]:
-    (count,) = _U64.unpack_from(buf, 0)
-    pos = 8
-    out: dict[date, dict[int, tuple]] = {}
-    for _ in range(count):
-        eid, ordinal, tc, uc, att, sent, spos, sneg = _POST_HEAD.unpack_from(
-            buf, pos)
-        pos += _POST_HEAD.size
-        if eid >= n_entities:
-            raise ValueError("entity reference out of range")
-        (nco,) = _U32.unpack_from(buf, pos)
-        pos += 4
-        co: dict[int, tuple[int, int]] = {}
-        for _ in range(nco):
-            e2, c, a = _CO_REC.unpack_from(buf, pos)
-            pos += _CO_REC.size
-            co[e2] = (c, a)
-        (nneigh,) = _U32.unpack_from(buf, pos)
-        pos += 4
-        neigh = []
-        for _ in range(nneigh):
-            (e2,) = _U32.unpack_from(buf, pos)
-            pos += 4
-            neigh.append(e2)
-        out.setdefault(date.fromordinal(ordinal), {})[eid] = (
-            tc, uc, att, sent, spos, sneg, co, frozenset(neigh))
-    if pos != len(buf):
-        raise ValueError("trailing bytes in posting section")
-    return out
+def _decode_pdir(buf: memoryview, n_entities: int, post_len: int
+                 ) -> tuple[list[int], list[int], int]:
+    """Block offsets (plus the end of POST) and posting counts per entity,
+    and the total posting count."""
+    count, total = _DIR_HEAD.unpack_from(buf, 0)
+    if count != n_entities:
+        raise ValueError(f"block directory lists {count} entities, "
+                         f"dictionary has {n_entities}")
+    if _DIR_HEAD.size + count * _DIR_REC.size != len(buf):
+        raise ValueError("block directory length does not match its count")
+    records = list(_DIR_REC.iter_unpack(buf[_DIR_HEAD.size:]))
+    offsets = [off for off, _ in records] + [post_len]
+    counts = [n for _, n in records]
+    if offsets[0] != 0 or any(a > b for a, b in zip(offsets, offsets[1:])):
+        raise ValueError("posting blocks do not tile the posting section")
+    if sum(counts) != total:
+        raise ValueError("block posting counts do not sum to the total")
+    return offsets, counts, total

@@ -8,7 +8,7 @@ dominated by a major one while barely registering in the other direction.
 neighborhoods. By default the query entities themselves are removed from
 both neighborhoods before comparing (an entity trivially neighbors itself
 in every one of its texts, which would inflate the overlap);
-``include_self=True`` keeps the raw stored sets for comparison runs.
+``include_self=True`` keeps the full neighborhoods for comparison runs.
 
 A k-Network ranks the co-occurring entities by direct connectedness; the
 signed variants first restrict candidates to pairs whose mean shared-text
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corpus import csv_line
-from .index import _CO, _NEIGH, _TC, EntityIndex
+from .index import _CO, _TC, EntityIndex
 from .timeline import Period
 
 
@@ -70,13 +70,13 @@ def indirect_connectedness(index: EntityIndex, entity: str, other: str,
     if raw is None:
         return None
     other_raw = index.posting_counts(other, period)
-    mine: frozenset[int] | set[int] = raw[_NEIGH]
-    theirs: frozenset[int] | set[int] = (
-        frozenset() if other_raw is None else other_raw[_NEIGH])
+    eid, oid = index.entity_id_of(entity), index.entity_id_of(other)
+    # A neighborhood is the co-occurring entities plus the entity itself.
+    mine = raw[_CO].keys() | {eid}
+    theirs = set() if other_raw is None else other_raw[_CO].keys() | {oid}
     if not include_self:
-        drop = {index.entity_id_of(entity), index.entity_id_of(other)}
-        mine = set(mine) - drop
-        theirs = set(theirs) - drop
+        mine -= {eid, oid}
+        theirs -= {eid, oid}
     if not mine:
         return None
     return len(mine & theirs) / len(mine)

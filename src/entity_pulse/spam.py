@@ -131,17 +131,45 @@ def save_model(model: NBModel, path) -> None:
 
 
 def load_model(path) -> NBModel:
+    """Read a model written by :func:`save_model`; a file that is not one
+    raises ValueError, naming the first missing or ill-typed key."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot load model from {path}: {exc}") from exc
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a {MODEL_FORMAT} model file: {path}")
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {doc.get('version')}")
-    vocabulary = {tok: i for i, tok in enumerate(doc["vocabulary"])}
-    return NBModel(vocabulary, doc["log_prior"],
-                   doc["token_log_likelihood"], doc["alpha"])
+    tokens = doc.get("vocabulary")
+    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)
+            and len(set(tokens)) == len(tokens)):
+        raise ValueError("model vocabulary: expected a list of distinct "
+                         "strings")
+    alpha = doc.get("alpha")
+    if not (_is_number(alpha) and alpha > 0):
+        raise ValueError("model alpha: expected a number > 0")
+    priors = _per_class(doc, "log_prior", _is_number)
+    likelihoods = _per_class(
+        doc, "token_log_likelihood",
+        lambda v: (isinstance(v, list) and len(v) == len(tokens)
+                   and all(map(_is_number, v))))
+    vocabulary = {tok: i for i, tok in enumerate(tokens)}
+    return NBModel(vocabulary, priors, likelihoods, alpha)
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _per_class(doc: dict, key: str, valid) -> dict:
+    """``doc[key]``, a map from each class to a value ``valid`` accepts."""
+    value = doc.get(key)
+    if not (isinstance(value, dict) and set(value) == set(CLASSES)
+            and all(valid(value[c]) for c in CLASSES)):
+        raise ValueError(f"model {key}: expected one valid entry per class "
+                         f"{list(CLASSES)}")
+    return value
 
 
 def read_labeled_csv(path) -> list[tuple[str, str]]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
+from functools import lru_cache
 
 UTC = timezone.utc
 
@@ -91,6 +92,11 @@ class Period:
         return self.render()
 
 
+# Periods are immutable, so one object per (start, granularity) can serve
+# every caller. A series over a 731-day window would otherwise build 731
+# new periods per call: about half its time, and most of the objects that
+# drive the cyclic garbage collector on a warm query path.
+@lru_cache(maxsize=4096)
 def _from_start(sd: date, g: Granularity) -> Period:
     ed = _next_start(sd, g)
     return Period(datetime(sd.year, sd.month, sd.day, tzinfo=UTC),

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import struct
+import zlib
 from datetime import datetime, timezone
 
 import entity_pulse as ep
@@ -108,3 +110,30 @@ def build_random_corpus(seed: int, n_texts_hint: int, **kwargs):
     records = records_of(rows)
     corpus = make_corpus(rows)
     return records, corpus, rows
+
+
+# EPX container layout, as the format comment in ``entity_pulse.index``
+# documents it: a 22-byte header holding the payload's CRC32 at byte 16 and
+# the section count at byte 20, then one 20-byte table entry per section.
+_EPX_HEADER, _EPX_ENTRY = 22, struct.Struct("<4sQQ")
+
+
+def epx_section(blob, tag: bytes) -> tuple[int, int]:
+    """(offset, length) of section ``tag`` in an EPX container."""
+    (nsections,) = struct.unpack_from("<H", blob, 20)
+    for i in range(nsections):
+        got, off, length = _EPX_ENTRY.unpack_from(
+            blob, _EPX_HEADER + i * _EPX_ENTRY.size)
+        if got == tag:
+            return off, length
+    raise KeyError(tag)
+
+
+def reseal_epx(blob) -> bytes:
+    """``blob`` with its payload CRC32 recomputed, as a writer would store
+    it, so that edited bytes get past the checksum."""
+    blob = bytearray(blob)
+    (nsections,) = struct.unpack_from("<H", blob, 20)
+    payload = blob[_EPX_HEADER + _EPX_ENTRY.size * nsections:]
+    struct.pack_into("<I", blob, 16, zlib.crc32(payload))
+    return bytes(blob)

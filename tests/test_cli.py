@@ -2,6 +2,7 @@
 
 import csv
 import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from entity_pulse.corpus import (REASON_DUPLICATE_ID, REASON_EMPTY_ID,
                                  REASON_SENTIMENT, REASON_TIMESTAMP, csv_line,
                                  write_rejections)
 
+from helpers import epx_section, make_corpus, reseal_epx, row
 from test_synth import doc_with, spike
 
 BAD_GRANULARITIES = ["decade", 5, None, ["month"]]
@@ -148,3 +150,110 @@ def test_streaming_index_equals_ingest_then_build(tmp_path, capsys,
         summary["rejected_by_reason"]
     assert (tmp_path / "ingest.rej").read_text() == \
         (tmp_path / "cli.rej").read_text()
+
+
+def test_crafted_co_entity_is_a_json_error(tmp_path, capsys):
+    corpus = make_corpus([row("t1", "u1", "2015-07-05T10:00:00Z",
+                              [("A", 1.0), ("B", 1.0)], 3, -1)])
+    path = tmp_path / "x.epx"
+    ep.save(ep.build(corpus, ep.Granularity.MONTH, 2.0), path)
+    blob = bytearray(path.read_bytes())
+    post, _ = epx_section(blob, b"POST")
+    struct.pack_into("<I", blob, post + 56, 2)  # A's co-entity B -> id 2
+    path.write_bytes(reseal_epx(blob))
+    assert cli.main(["network", "--index", str(path), "--entity", "A",
+                     "--period", "2015-07"]) == 1
+    assert "co-entity" in _error_line(capsys)["error"]
+    assert cli.main(["inspect", "--index", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["postings"] == 2
+    assert cli.main(["inspect", "--index", str(path), "--verify"]) == 1
+    assert "co-entity" in _error_line(capsys)["error"]
+
+
+def _index_file(tmp_path) -> Path:
+    path = tmp_path / "archive.epx"
+    assert cli.main(["index", "--input", str(_archive(tmp_path)),
+                     "--output", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("index", "delta", "2"), ("index", "delta", True),
+    ("index", "min_confidence", "0.5"), ("index", "min_confidence", None),
+    ("index", "granularity", "decade"), ("index", "granularity", 5),
+    ("index", "approx_users", "yes"), ("index", "approx_users", 1),
+    ("network", "k", "3"), ("network", "k", 2.5), ("network", "k", True),
+    ("network", "variant", "signed"), ("network", "entity", 7),
+])
+def test_config_values_must_fit_their_option(tmp_path, capsys, command, key,
+                                             value):
+    if command == "index":
+        out = tmp_path / "out.epx"
+        argv = ["index", "--input", str(_archive(tmp_path)),
+                "--output", str(out)]
+    else:
+        argv = ["network", "--index", str(_index_file(tmp_path)),
+                "--period", "2015-03"]
+        if key != "entity":
+            argv += ["--entity", "ent:A"]
+        capsys.readouterr()
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({key: value}))
+    assert cli.main(argv + ["--config", str(config)]) == 1
+    assert f"config {key}:" in _error_line(capsys)["error"]
+    if command == "index":
+        assert not out.exists()
+
+
+def test_config_values_act_like_flags(tmp_path, capsys):
+    archive = _archive(tmp_path)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"delta": 0, "granularity": "week",
+                                  "min_confidence": 0, "approx_users": False,
+                                  "k": 2, "variant": "positive"}))
+    by_flags, by_config = tmp_path / "flags.epx", tmp_path / "config.epx"
+    assert cli.main(["index", "--input", str(archive), "--output",
+                     str(by_flags), "--delta", "0", "--granularity", "week",
+                     "--min-confidence", "0"]) == 0
+    assert cli.main(["index", "--input", str(archive), "--output",
+                     str(by_config), "--config", str(config)]) == 0
+    assert by_config.read_bytes() == by_flags.read_bytes()
+    capsys.readouterr()
+    query = ["network", "--index", str(by_config), "--entity", "ent:A",
+             "--period", "2015-03-02"]
+    assert cli.main(query + ["--k", "2", "--variant", "positive",
+                             "--delta", "0"]) == 0
+    want = capsys.readouterr().out
+    assert want
+    assert cli.main(query + ["--config", str(config)]) == 0
+    assert capsys.readouterr().out == want
+
+
+def _model_doc(tmp_path) -> dict:
+    path = tmp_path / "model.json"
+    ep.save_model(ep.train(ep.generate_labeled_docs(20, overlap=0.2, seed=1)),
+                  path)
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("edit,needle", [
+    (lambda d: {"format": d["format"], "version": d["version"]},
+     "vocabulary"),
+    (lambda d: [d], "model"),
+    (lambda d: dict(d, vocabulary="abc"), "vocabulary"),
+    (lambda d: dict(d, vocabulary=d["vocabulary"][:1] * 2), "vocabulary"),
+    (lambda d: dict(d, alpha="1"), "alpha"),
+    (lambda d: dict(d, alpha=0), "alpha"),
+    (lambda d: dict(d, log_prior={"spam": -0.5}), "log_prior"),
+    (lambda d: dict(d, token_log_likelihood={
+        c: v[:-1] for c, v in d["token_log_likelihood"].items()}),
+     "token_log_likelihood"),
+])
+def test_filter_rejects_bad_model_json(tmp_path, capsys, edit, needle):
+    model = tmp_path / "bad.json"
+    model.write_text(json.dumps(edit(_model_doc(tmp_path))))
+    out = tmp_path / "kept.csv"
+    assert cli.main(["filter", "--input", str(_archive(tmp_path)),
+                     "--model", str(model), "--output", str(out)]) == 1
+    assert needle in _error_line(capsys)["error"]
+    assert not out.exists()

@@ -1,14 +1,20 @@
 import random
+import struct
+import zlib
+from datetime import date, datetime, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entity_pulse as ep
+from entity_pulse import measures, relations
 from entity_pulse.index import IndexFormatError
 from entity_pulse.sketch import HllCounter
 
 import oracle
-from helpers import (build_random_corpus, make_corpus, month, phi_row, row,
-                     window)
+from helpers import (build_random_corpus, epx_section, make_corpus, month,
+                     phi_row, reseal_epx, row, window)
 
 
 def build(corpus, delta=2.0, **kwargs):
@@ -127,8 +133,7 @@ class TestOracleEquivalence:
         _, corpus, _ = build_random_corpus(3, 400)
         a = build(corpus)
         b = build(corpus)
-        assert a._slices == b._slices
-        assert a._postings == b._postings
+        assert a.dump() == b.dump()
 
 
 class TestDeltaMonotonicity:
@@ -187,8 +192,7 @@ class TestPersistence:
         path = tmp_path / "idx.epx"
         ep.save(idx, path)
         again = ep.load(path)
-        assert again._slices == idx._slices
-        assert again._postings == idx._postings
+        assert again.dump() == idx.dump()
         assert again.entities == idx.entities
         assert (again.granularity, again.delta, again.approx_users) == \
             (idx.granularity, idx.delta, idx.approx_users)
@@ -230,6 +234,179 @@ class TestPersistence:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IndexFormatError):
             ep.load(tmp_path / "absent.epx")
+
+
+def every_answer(index) -> list:
+    """What every query API and output format answers for every entity (and
+    an unknown one), every period (and an empty one) and every pair."""
+    names = index.entities + ["ent:UNKNOWN"]
+    periods = index.periods() + [
+        ep.period_of(datetime(2014, 7, 15, tzinfo=timezone.utc),
+                     index.granularity)]
+    span = window(2015, 2016)
+    out = []
+    for e in names:
+        for m in sorted(ep.MEASURES):
+            points = ep.series(index, e, span, m)
+            out += [points, measures.series_csv_rows(points, m),
+                    measures.series_json_records(points, m)]
+            for direction in ("high", "low"):
+                ranked = ep.top_k_periods(index, e, span, m, 3, direction)
+                out += [ranked,
+                        measures.ranked_periods_csv_rows(ranked, index),
+                        measures.ranked_periods_json_records(ranked, index)]
+        others = [o for o in names if o != e]
+        for p in periods:
+            out += [index.posting(e, p), index.period_slice(p),
+                    ep.connectedness_to_set(index, e, others[:3], p)]
+            for net in (ep.k_network(index, e, p, 3),
+                        ep.signed_k_network(index, e, p, 3, "positive", 1.0),
+                        ep.signed_k_network(index, e, p, 3, "negative", 1.0)):
+                out += [net, relations.network_csv_rows(net),
+                        relations.network_json_records(net),
+                        relations.network_edge_rows(net)]
+            for o in others:
+                out += [ep.direct_connectedness(index, e, o, p),
+                        ep.indirect_connectedness(index, e, o, p),
+                        ep.indirect_connectedness(index, e, o, p,
+                                                  include_self=True)]
+    return out
+
+
+def epx1_empty_index() -> bytes:
+    """An empty index in the EPX1 layout: magic "EPX1", version 1, and
+    SDIC, SLIC and POST sections holding zero items."""
+    payload = bytes(4) + bytes(4) + bytes(8)
+    base = 22 + 3 * 20
+    table = b"".join(struct.pack("<4sQQ", tag, base + off, n) for tag, off, n
+                     in ((b"SDIC", 0, 4), (b"SLIC", 4, 4), (b"POST", 8, 8)))
+    header = struct.pack("<4sHBBdIH", b"EPX1", 1, 2, 0, 2.0,
+                         zlib.crc32(payload), 3)
+    return header + table + payload
+
+
+class TestContainer:
+    @pytest.mark.parametrize("granularity,approx", [
+        (g, False) for g in ep.Granularity] + [(ep.Granularity.YEAR, True)])
+    def test_save_load_dump_equal(self, tmp_path, granularity, approx):
+        _, corpus, _ = build_random_corpus(5, 500, max_entities=10)
+        idx = ep.build(corpus, granularity, 1.5, approx_users=approx)
+        path = tmp_path / "idx.epx"
+        ep.save(idx, path)
+        again = ep.load(path)
+        assert again.posting_count() == idx.posting_count() > 0
+        assert again.periods() == idx.periods()
+        want = idx.dump()
+        assert len(want["postings"]) == idx.posting_count()
+        assert again.dump() == want
+        # A loaded index saves back to the same bytes.
+        ep.save(again, tmp_path / "again.epx")
+        assert (tmp_path / "again.epx").read_bytes() == path.read_bytes()
+
+    def test_loaded_index_answers_like_built(self, tmp_path):
+        _, corpus, _ = build_random_corpus(17, 500, max_entities=6)
+        idx = build(corpus, delta=1.0)
+        path = tmp_path / "idx.epx"
+        ep.save(idx, path)
+        assert every_answer(ep.load(path)) == every_answer(idx)
+
+    def test_epx1_file_rejected_with_version_error(self, tmp_path):
+        path = tmp_path / "old.epx"
+        path.write_bytes(epx1_empty_index())
+        with pytest.raises(IndexFormatError,
+                           match="unsupported format version 1"):
+            ep.load(path)
+
+    # Fields of A's only posting, the first in POST: a 56-byte record
+    # (ordinal i32 at 0, text count u64 at 4, ..., co-entity count u32 at
+    # 52), then one co-entity record (B's id u32 at 56, shared texts u64 at
+    # 60, attitude i64 at 68).
+    @pytest.mark.parametrize("at,fmt,value,needle", [
+        (56, "<I", 2, "co-entity"),
+        (56, "<I", 0, "co-entity"),
+        (4, "<Q", 0, "no texts"),
+        (60, "<Q", 0, "shared-text count"),
+        (60, "<Q", 2, "shared-text count"),
+        (0, "<i", date(2015, 7, 2).toordinal(), "no period slice"),
+        (52, "<I", 0, "does not end"),
+    ])
+    def test_crafted_block_fails_at_first_touch(self, tmp_path, at, fmt,
+                                                value, needle):
+        corpus = make_corpus([row("t1", "u1", "2015-07-05T10:00:00Z",
+                                  [("A", 1.0), ("B", 1.0)], 3, -1)])
+        path = tmp_path / "x.epx"
+        ep.save(build(corpus), path)
+        blob = bytearray(path.read_bytes())
+        post, _ = epx_section(blob, b"POST")
+        assert struct.unpack_from("<iQQqqQQIIQq", blob, post) == (
+            date(2015, 7, 1).toordinal(), 1, 1, 2, 2, 1, 0, 1, 1, 1, 2)
+        struct.pack_into(fmt, blob, post + at, value)
+        path.write_bytes(reseal_epx(blob))
+        idx = ep.load(path)
+        assert idx.posting_count() == 2
+        assert ep.k_network(idx, "B", month(2015, 7), 3).entries
+        with pytest.raises(IndexFormatError, match=needle):
+            ep.k_network(idx, "A", month(2015, 7), 3)
+        with pytest.raises(IndexFormatError, match=needle):
+            ep.inspect_file(path, verify=True)
+
+    def test_inspect_reads_the_directory_and_verify_counts_pairs(
+            self, tmp_path):
+        _, corpus, _ = build_random_corpus(8, 400, max_entities=8)
+        idx = build(corpus)
+        path = tmp_path / "idx.epx"
+        ep.save(idx, path)
+        info = ep.inspect_file(path)
+        assert (info["magic"], info["version"]) == ("EPX2", 2)
+        assert set(info["sections"]) == {"SDIC", "SLIC", "POST", "PDIR"}
+        assert (info["entities"], info["periods"], info["postings"]) == (
+            len(idx.entities), len(idx.periods()), idx.posting_count())
+        assert "cooccur_pairs" not in info
+        fanouts = [len(p[-1]) for p in idx.dump()["postings"]]
+        assert ep.inspect_file(path, verify=True) == dict(
+            info, cooccur_pairs=sum(fanouts),
+            cooccur_fanout_max=max(fanouts))
+
+
+@pytest.fixture(scope="module")
+def small_epx(tmp_path_factory):
+    """A saved small index, and a path to write mutated copies to."""
+    _, corpus, _ = build_random_corpus(4, 150, max_entities=4)
+    work = tmp_path_factory.mktemp("fuzz")
+    ep.save(build(corpus, delta=1.0), work / "base.epx")
+    return (work / "base.epx").read_bytes(), work / "fuzz.epx"
+
+
+class TestCraftedFiles:
+    @settings(max_examples=60, deadline=None)
+    @given(flips=st.lists(st.tuples(st.integers(min_value=0),
+                                    st.integers(1, 255)),
+                          min_size=1, max_size=3))
+    def test_resealed_byte_flips_fail_typed_or_answer(self, small_epx, flips):
+        """Byte flips with the CRC recomputed either fail with
+        IndexFormatError, at load or at the first query touching the bad
+        block (and then ``inspect --verify`` fails too), or leave an index
+        on which every query API answers."""
+        base, path = small_epx
+        blob = bytearray(base)
+        for at, mask in flips:
+            blob[at % len(blob)] ^= mask
+        path.write_bytes(reseal_epx(blob))
+        try:
+            loaded = ep.load(path)
+        except IndexFormatError:
+            return
+        try:
+            ep.inspect_file(path, verify=True)
+            verified = True
+        except IndexFormatError:
+            verified = False
+        try:
+            every_answer(loaded)
+        except IndexFormatError:
+            assert not verified
+        else:
+            assert verified
 
 
 class TestApproxUsers:
