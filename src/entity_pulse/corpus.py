@@ -6,6 +6,8 @@ Row schema (RFC-4180 quoting)::
 
 * ``timestamp`` is ISO-8601 UTC; sub-second precision is truncated. A
   trailing ``Z``, an explicit offset, or no offset (read as UTC) are accepted.
+  In UTC it must fall before year 9999, whose year period would end past
+  the last representable date.
 * ``mentions`` holds ``entity_id:confidence`` pairs joined by ``;``. Entity
   ids are percent-escaped so that ``%`` ``:`` ``;`` ``,`` and newlines never
   appear raw; identity is the exact decoded string (no case folding).
@@ -34,6 +36,9 @@ from typing import Iterable, Iterator
 from urllib.parse import unquote
 
 UTC = timezone.utc
+# Timestamps in this year are rejected: the year period holding them ends
+# on 10000-01-01, which no date can represent.
+_LAST_YEAR = datetime.max.year
 
 # Stable rejection reason strings (machine-readable contract).
 REASON_FIELD_COUNT = "wrong field count"
@@ -125,12 +130,14 @@ def _parse_timestamp(raw: str) -> datetime | None:
         s = s[:-1] + "+00:00"
     try:
         ts = datetime.fromisoformat(s)
-    except ValueError:
+        if ts.tzinfo is None:
+            ts = ts.replace(tzinfo=UTC)
+        else:
+            ts = ts.astimezone(UTC)  # overflows past the first or last day
+    except (ValueError, OverflowError):
         return None
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=UTC)
-    else:
-        ts = ts.astimezone(UTC)
+    if ts.year == _LAST_YEAR:
+        return None
     return ts.replace(microsecond=0) if ts.microsecond else ts
 
 

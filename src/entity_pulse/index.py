@@ -98,7 +98,8 @@ class EntityIndex:
         self.approx_users = approx_users
         self.entities = entities
         self._entity_ids = {e: i for i, e in enumerate(entities)}
-        self._slices = slices
+        # (text_total, user_total) by period start, non-empty periods only.
+        self.slices = slices
         self._postings = postings
         self._posting_total = posting_total
         self._blocks = blocks
@@ -123,9 +124,16 @@ class EntityIndex:
     def entity_id_of(self, entity: str) -> int | None:
         return self._entity_ids.get(entity)
 
+    def entity_postings(self, entity: str) -> dict[date, tuple]:
+        """The entity's raw posting tuples by period start; empty for an
+        unknown entity. The dict is the index's own: read it, never change it.
+        """
+        eid = self._entity_ids.get(entity)
+        return {} if eid is None else self._entity_postings(eid)
+
     def slice_counts(self, period: Period) -> tuple[int, int] | None:
         """(text_total, user_total) for the period, or None if empty."""
-        return self._slices.get(self._check_period(period))
+        return self.slices.get(self._check_period(period))
 
     def posting_counts(self, entity: str, period: Period) -> tuple | None:
         """Raw posting tuple, or None when the entity is absent in the period."""
@@ -158,7 +166,7 @@ class EntityIndex:
     def periods(self) -> list[Period]:
         """All non-empty periods, chronological."""
         return [period_containing(d, self.granularity)
-                for d in sorted(self._slices)]
+                for d in sorted(self.slices)]
 
     def posting_count(self) -> int:
         return self._posting_total
@@ -175,8 +183,8 @@ class EntityIndex:
             "approx_users": self.approx_users,
             "entities": list(self.entities),
             "posting_count": self._posting_total,
-            "slices": [(d.isoformat(), *self._slices[d])
-                       for d in sorted(self._slices)],
+            "slices": [(d.isoformat(), *self.slices[d])
+                       for d in sorted(self.slices)],
             "postings": [(eid, d.isoformat(), *p[:_CO], sorted(p[_CO].items()))
                          for eid in range(len(self.entities))
                          for d, p in sorted(
@@ -441,9 +449,9 @@ def save(index: EntityIndex, path) -> None:
         raw = name.encode("utf-8")
         sdic += _U32.pack(len(raw))
         sdic += raw
-    slic = bytearray(_U32.pack(len(index._slices)))
-    for d in sorted(index._slices):
-        slic += _SLICE_REC.pack(d.toordinal(), *index._slices[d])
+    slic = bytearray(_U32.pack(len(index.slices)))
+    for d in sorted(index.slices):
+        slic += _SLICE_REC.pack(d.toordinal(), *index.slices[d])
     directory: list[tuple[int, int]] = []
 
     def pdir() -> Iterator[bytes]:
@@ -558,7 +566,7 @@ def inspect_file(path, verify: bool = False) -> dict:
         "file_bytes": facts["file_bytes"],
         "sections": facts["sections"],
         "entities": len(index.entities),
-        "periods": len(index._slices),
+        "periods": len(index.slices),
         "postings": index.posting_count(),
     }
     if verify:

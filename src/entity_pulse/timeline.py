@@ -98,7 +98,11 @@ class Period:
 # drive the cyclic garbage collector on a warm query path.
 @lru_cache(maxsize=4096)
 def _from_start(sd: date, g: Granularity) -> Period:
-    ed = _next_start(sd, g)
+    try:
+        ed = _next_start(sd, g)
+    except (OverflowError, ValueError):
+        raise ValueError(f"the {g.value} starting {sd.isoformat()} ends "
+                         f"after {date.max.isoformat()}") from None
     return Period(datetime(sd.year, sd.month, sd.day, tzinfo=UTC),
                   datetime(ed.year, ed.month, ed.day, tzinfo=UTC), g)
 
@@ -127,15 +131,14 @@ def enumerate_periods(window_start: datetime, window_end: datetime,
         window_end = window_end.replace(tzinfo=UTC)
     if window_start >= window_end:
         return []
-    out: list[Period] = []
-    sd = start_date(window_start.astimezone(UTC).date(), g)
     end_limit = window_end.astimezone(UTC)
-    while True:
-        p = _from_start(sd, g)
-        if p.start >= end_limit:
-            break
+    p = _from_start(start_date(window_start.astimezone(UTC).date(), g), g)
+    out = [p]
+    # The next period starts where this one ends, so none is built that
+    # starts at or after the window end.
+    while p.end < end_limit:
+        p = _from_start(p.end.date(), g)
         out.append(p)
-        sd = _next_start(sd, g)
     return out
 
 
@@ -145,20 +148,29 @@ def parse_period_token(token: str, g: Granularity) -> Period:
     The token names an instant (start of the named day/month/year); the
     result is the period of the requested granularity containing it.
     """
+    return period_containing(_token_day(token), g)
+
+
+def _token_day(token: str) -> date:
+    """The first day named by a ``YYYY``, ``YYYY-MM`` or ``YYYY-MM-DD`` token."""
     parts = token.strip().split("-")
     try:
         if len(parts) == 1:
-            d = date(int(parts[0]), 1, 1)
-        elif len(parts) == 2:
-            d = date(int(parts[0]), int(parts[1]), 1)
-        elif len(parts) == 3:
-            d = date(int(parts[0]), int(parts[1]), int(parts[2]))
-        else:
-            raise ValueError
+            return date(int(parts[0]), 1, 1)
+        if len(parts) == 2:
+            return date(int(parts[0]), int(parts[1]), 1)
+        if len(parts) == 3:
+            return date(int(parts[0]), int(parts[1]), int(parts[2]))
     except ValueError:
-        raise ValueError(f"bad period token {token!r}; expected YYYY, YYYY-MM "
-                         f"or YYYY-MM-DD") from None
-    return period_of(datetime(d.year, d.month, d.day, tzinfo=UTC), g)
+        pass
+    raise ValueError(f"bad period token {token!r}; expected YYYY, YYYY-MM "
+                     f"or YYYY-MM-DD")
+
+
+def _instant(token: str) -> datetime:
+    """UTC midnight starting the day a period token names."""
+    d = _token_day(token)
+    return datetime(d.year, d.month, d.day, tzinfo=UTC)
 
 
 def parse_window(from_token: str, to_token: str,
@@ -168,8 +180,7 @@ def parse_window(from_token: str, to_token: str,
     ``from`` is the start of its token's instant; ``to`` is exclusive, so
     ``--from 2015-01 --to 2016-01`` covers all of 2015.
     """
-    start = parse_period_token(from_token, Granularity.DAY).start
-    end = parse_period_token(to_token, Granularity.DAY).start
+    start, end = _instant(from_token), _instant(to_token)
     if start >= end:
         raise ValueError(f"empty window: {from_token!r} .. {to_token!r}")
     return start, end

@@ -257,3 +257,75 @@ def test_filter_rejects_bad_model_json(tmp_path, capsys, edit, needle):
                      "--model", str(model), "--output", str(out)]) == 1
     assert needle in _error_line(capsys)["error"]
     assert not out.exists()
+
+
+# -- the end of the calendar ---------------------------------------------------
+
+def _year_9999_index(tmp_path, granularity) -> Path:
+    """An index of two 2015 rows, built from an archive that also holds
+    rows whose periods would end past the last representable date."""
+    archive = tmp_path / "late.csv"
+    archive.write_text("\n".join([
+        row("t1", "u1", "2015-06-10T08:00:00Z", [("A", 1.0), ("B", 1.0)],
+            3, -1),
+        row("t2", "u2", "9999-12-31T10:00:00Z", [("A", 1.0)], 3, -1),
+        row("t3", "u2", "9999-01-01T00:00:00Z", [("A", 1.0)], 3, -1),
+        row("t4", "u2", "9998-12-31T23:00:00-02:00", [("A", 1.0)], 3, -1),
+        row("t5", "u2", "0001-01-01T00:00:00+01:00", [("A", 1.0)], 3, -1),
+        row("t6", "u3", "2015-06-11T08:00:00Z", [("B", 1.0)], 2, -4),
+    ]) + "\n")
+    path = tmp_path / "late.epx"
+    assert cli.main(["index", "--input", str(archive), "--output", str(path),
+                     "--granularity", granularity]) == 0
+    return path
+
+
+@pytest.mark.parametrize("granularity", ["day", "week", "month", "year"])
+def test_timestamps_without_a_representable_period_are_rejected(
+        tmp_path, capsys, granularity):
+    path = _year_9999_index(tmp_path, granularity)
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["record_count"] == 2
+    assert summary["rejected_by_reason"] == {REASON_TIMESTAMP: 4}
+    assert cli.main(["inspect", "--index", str(path), "--verify"]) == 0
+    assert json.loads(capsys.readouterr().out)["periods"] == \
+        (2 if granularity == "day" else 1)
+
+
+@pytest.mark.parametrize("granularity", ["day", "week", "month", "year"])
+@pytest.mark.parametrize("query", [
+    ["series", "--entity", "A", "--measure", "attitude"],
+    ["topk", "--entity", "A", "--measure", "popularity_cu"],
+    ["connectedness", "--entity", "A", "--other", "B"],
+], ids=["series", "topk", "connectedness"])
+def test_window_up_to_the_last_day(tmp_path, capsys, granularity, query):
+    path = _year_9999_index(tmp_path, granularity)
+    capsys.readouterr()
+    argv = [query[0], "--index", str(path), "--granularity", granularity,
+            *query[1:], "--from", "9999-12-01", "--to", "9999-12-31"]
+    if granularity != "day":
+        # The period holding 9999-12-30 ends on 10000-01-01 or later.
+        assert cli.main(argv) == 1
+        assert "ends after 9999-12-31" in _error_line(capsys)["error"]
+        return
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    if query[0] == "topk":
+        assert lines == []  # no period of the window has any text
+    else:
+        assert len(lines) == 30
+        assert lines[-1].startswith("A,") and "9999-12-30,9999-12-31," in \
+            lines[-1]
+
+
+@pytest.mark.parametrize("granularity", ["day", "week", "month", "year"])
+def test_network_in_the_last_period_is_a_json_error(tmp_path, capsys,
+                                                    granularity):
+    path = _year_9999_index(tmp_path, granularity)
+    capsys.readouterr()
+    assert cli.main(["network", "--index", str(path), "--entity", "A",
+                     "--period", "9999-12-31"]) == 1
+    assert "ends after 9999-12-31" in _error_line(capsys)["error"]
+    assert cli.main(["network", "--index", str(path), "--entity", "A",
+                     "--period", "2015-06-10"]) == 0
+    assert "B" in capsys.readouterr().out

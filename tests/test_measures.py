@@ -1,4 +1,5 @@
 import random
+from datetime import datetime, timezone
 
 import pytest
 
@@ -10,6 +11,7 @@ import oracle
 from helpers import build_random_corpus, make_corpus, month, phi_row, row, window
 
 JULY = "2015-07-{:02d}T10:00:00Z"
+UTC = timezone.utc
 
 
 def monthly(corpus, delta=2.0):
@@ -344,3 +346,65 @@ class TestOutputFormats:
                                   "popularity_c", 2, "high")
         rows = ranked_periods_csv_rows(ranked, idx)
         assert rows[0].startswith("1,e,2015-07-01,")
+
+
+class TestOracleEquivalence:
+    """Series, top-k and the single-period functions against a full scan,
+    over a window that starts before and ends after the data."""
+
+    WINDOW = (datetime(2014, 11, 20, tzinfo=UTC),
+              datetime(2016, 2, 10, tzinfo=UTC))
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("granularity", list(ep.Granularity))
+    def test_series_topk_and_points_match_the_oracle(self, granularity,
+                                                     delta):
+        seed = 70 + 4 * list(ep.Granularity).index(granularity) + int(delta)
+        records, corpus, _ = build_random_corpus(seed, 150, max_entities=6)
+        idx = ep.build(corpus, granularity, delta)
+        periods = ep.enumerate_periods(*self.WINDOW, granularity)
+        # Each period's texts; the oracle filters by period itself, so
+        # handing it only these gives the same answers, faster.
+        buckets = [oracle.texts_in(records, p) for p in periods]
+        for entity in [*idx.entities, "never-mentioned"]:
+            for name in ep.MEASURES:
+                points = ep.series(idx, entity, self.WINDOW, name)
+                assert [p.period for p in points] == periods
+                want = [oracle.measure_value(b, entity, p, name, delta)
+                        for p, b in zip(periods, buckets)]
+                assert [p.value for p in points] == want
+                assert [p.support for p in points] == [
+                    len(oracle.mentioning(b, entity, p))
+                    for p, b in zip(periods, buckets)]
+                assert points == [ep.MEASURES[name](idx, entity, p)
+                                  for p in periods]
+                values = list(zip(periods, want))
+                for direction in ("high", "low"):
+                    for k in (1, 3, len(periods)):
+                        ranked = ep.top_k_periods(idx, entity, self.WINDOW,
+                                                  name, k, direction)
+                        assert list(ranked.items) == \
+                            oracle.top_k(values, k, direction)
+
+
+class TestTieOrder:
+    def test_equal_values_rank_earliest_first(self):
+        # Attitude 0.0 in Jan, Mar, May and Nov, 2.0 in Jul. At delta 3 no
+        # text is strong, so controversiality is 0.0 in all five months.
+        rows = [phi_row(f"t{m}", f"u{m}", f"2015-{m:02d}-10T00:00:00Z",
+                        [("e", 1.0)], 2 if m == 7 else 0)
+                for m in (11, 3, 7, 1, 5)]
+        idx = monthly(make_corpus(rows), delta=3.0)
+        span = window(2015, 2016)
+        want = {("attitude", "high"): [7, 1, 3, 5, 11],
+                ("attitude", "low"): [1, 3, 5, 11, 7],
+                ("controversiality", "high"): [1, 3, 5, 7, 11],
+                ("controversiality", "low"): [1, 3, 5, 7, 11]}
+        for (name, direction), months in want.items():
+            values = [(p.period, p.value)
+                      for p in ep.series(idx, "e", span, name)]
+            for k in (1, 3, 5, 12):
+                ranked = ep.top_k_periods(idx, "e", span, name, k, direction)
+                assert [p.start.month for p, _ in ranked.items] == months[:k]
+                assert list(ranked.items) == oracle.top_k(values, k,
+                                                          direction)

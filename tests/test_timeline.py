@@ -69,6 +69,23 @@ class TestEnumerate:
         assert len(ps) == 1
         assert ps[0].start == dt(2015, 1, 1)
 
+    def test_window_ending_on_the_last_day(self):
+        ps = enumerate_periods(dt(9999, 12, 29), dt(9999, 12, 31),
+                               Granularity.DAY)
+        assert [p.end for p in ps] == [dt(9999, 12, 30), dt(9999, 12, 31)]
+
+    @pytest.mark.parametrize("g", list(Granularity))
+    def test_period_ending_past_the_last_day_is_a_value_error(self, g):
+        with pytest.raises(ValueError, match="ends after 9999-12-31"):
+            period_of(dt(9999, 12, 31, 10), g)
+        if g is not Granularity.DAY:
+            with pytest.raises(ValueError, match="ends after 9999-12-31"):
+                enumerate_periods(dt(9999, 12, 30), dt(9999, 12, 31), g)
+
+    def test_window_instants_need_no_period(self):
+        assert parse_window("9999-12", "9999-12-31", Granularity.YEAR) == \
+            (dt(9999, 12, 1), dt(9999, 12, 31))
+
 
 _granularities = st.sampled_from(list(Granularity))
 _instants = st.datetimes(min_value=datetime(1990, 1, 1),
