@@ -33,15 +33,29 @@ in one entity at a time: an entity's postings are decoded from its block
 in the file the first time a query touches it. The index never changes
 otherwise and is safe for concurrent readers; two readers decoding the
 same block at once store equal dicts.
+
+A loaded index never holds the file. :func:`load` streams the file once
+through a small buffer to check its CRC, reads the small sections on their
+own, and keeps the file open; each entity's block is read with
+``os.pread`` (positional, so concurrent readers do not share a file
+offset) the first time a query touches it. So a cold query pays memory for
+the entities it reads, not for the archive. The open handle pins the file
+that was checked: replacing the path afterwards (as ``save`` does,
+atomically) does not change the index's answers. ``close()``, or leaving a
+``with load(path) as index:`` block, releases the handle; an index dropped
+unclosed has it released when it is collected. The file is not mapped with
+``mmap``: its resident pages would count in the process's RSS, and the CRC
+check would touch every one of them.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+import weakref
 import zlib
 from dataclasses import dataclass
 from datetime import date
-from pathlib import Path
 from typing import Iterable, Iterator
 
 from .corpus import Corpus, CorpusStats, Rejection, Row, scan, write_atomic
@@ -103,6 +117,19 @@ class EntityIndex:
         self._postings = postings
         self._posting_total = posting_total
         self._blocks = blocks
+
+    def close(self) -> None:
+        """Release the file a loaded index reads its blocks from; calling it
+        again does nothing. Entities already decoded still answer; touching
+        any other raises ``ValueError``."""
+        if self._blocks is not None:
+            self._blocks.close()
+
+    def __enter__(self) -> EntityIndex:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def _entity_postings(self, eid: int) -> dict[date, tuple]:
         """The entity's postings, decoded from its block on first touch."""
@@ -343,14 +370,18 @@ def build_streaming(source, granularity: Granularity, delta: float, *,
 # The writer streams SDIC, SLIC, POST and then PDIR, so that it never holds
 # the encoded payload, and writes the header last.
 #
-# Checks: `load` reads the file once and checks the header, the section
-# table and the CRC, and decodes and checks SDIC (distinct names), SLIC
-# (ordinals strictly increasing and aligned to the granularity) and PDIR
-# (blocks tile POST, counts sum to the total). A block is checked when it
-# is first decoded: its ordinals strictly increase and each has a slice,
-# every text count is at least 1, every co-entity id is a known entity
-# other than the block's own, in ascending order, with a shared-text count
-# in [1, text count], and the block ends exactly at its length.
+# Checks: `load` checks the header and the section table, and streams the
+# payload once through a buffer of at most 64 KB to check the CRC. It then
+# reads SDIC, SLIC and PDIR with one `pread` each and checks them: SDIC
+# (distinct names), SLIC (ordinals strictly increasing and aligned to the
+# granularity) and PDIR (blocks tile POST, counts sum to the total). POST
+# stays in the file, which stays open. A block is read with one `pread` and
+# checked when it is first decoded: the read returns the block's full
+# length (a shorter one means the file was cut after load), its ordinals
+# strictly increase and each has a slice, every text count is at least 1,
+# every co-entity id is a known entity other than the block's own, in
+# ascending order, with a shared-text count in [1, text count], and the
+# block ends exactly at its length.
 
 _SLICE_REC = struct.Struct("<iQQ")
 _POST_REC = struct.Struct("<iQQqqQQI")
@@ -360,33 +391,49 @@ _DIR_REC = struct.Struct("<QI")
 _U32 = struct.Struct("<I")
 _SECTIONS = (b"SDIC", b"SLIC", b"POST", b"PDIR")
 _MALFORMED = (struct.error, ValueError, OverflowError)
+# The CRC buffer adds to the peak RSS of every load; larger ones are no
+# faster to checksum.
+_CRC_CHUNK = 1 << 16
 
 
 class _Blocks:
-    """The undecoded POST section of a loaded index, with its directory."""
+    """The POST section of a loaded index, left in its open file, with the
+    block directory."""
 
-    __slots__ = ("post", "offsets", "counts", "slices", "n_entities")
+    __slots__ = ("file", "base", "offsets", "counts", "slices", "n_entities",
+                 "close", "__weakref__")
 
-    def __init__(self, post: memoryview, offsets: list[int],
+    def __init__(self, file, base: int, offsets: list[int],
                  counts: list[int], slices: dict[date, tuple[int, int]]):
-        self.post = post
+        self.file = file
+        self.base = base  # file offset of POST
         self.offsets = offsets  # one per entity, then the end of POST
         self.counts = counts
         self.slices = slices
         self.n_entities = len(counts)
+        # Closes the file on the first call, or when the blocks are
+        # collected unclosed.
+        self.close = weakref.finalize(self, file.close)
 
     def decode(self, eid: int) -> dict[date, tuple]:
-        """Entity ``eid``'s postings; a malformed block raises
-        IndexFormatError."""
+        """Entity ``eid``'s postings, read from the file; a short read or a
+        malformed block raises IndexFormatError."""
+        if self.file.closed:
+            raise ValueError("index is closed")
+        start, end = self.offsets[eid], self.offsets[eid + 1]
+        buf = os.pread(self.file.fileno(), end - start, self.base + start)
+        if len(buf) != end - start:
+            raise IndexFormatError(
+                f"posting block of entity {eid} is cut short: the file was "
+                f"truncated after it was loaded")
         try:
-            return self._decode(eid)
+            return self._decode(eid, memoryview(buf))
         except _MALFORMED as exc:
             raise IndexFormatError(
                 f"malformed posting block of entity {eid}: {exc}") from exc
 
-    def _decode(self, eid: int) -> dict[date, tuple]:
-        buf = self.post
-        pos, end = self.offsets[eid], self.offsets[eid + 1]
+    def _decode(self, eid: int, buf: memoryview) -> dict[date, tuple]:
+        pos, end = 0, len(buf)
         slices, n_entities = self.slices, self.n_entities
         out: dict[date, tuple] = {}
         last = -(1 << 31)  # below every i32 ordinal
@@ -483,20 +530,46 @@ def save(index: EntityIndex, path) -> None:
 
 def load(path) -> EntityIndex:
     """Open an EPX2 container; any corruption raises IndexFormatError,
-    in a posting block at the first query that touches it."""
+    in a posting block at the first query that touches it.
+
+    The index keeps the file open until ``close()``, the end of a ``with``
+    block, or its collection."""
     return _open(path)[0]
 
 
 def _open(path) -> tuple[EntityIndex, dict]:
-    """The index in ``path`` and the container facts ``inspect`` reports."""
+    """The index in ``path`` and the container facts ``inspect`` reports.
+    The file stays open only if this returns."""
     try:
-        blob = Path(path).read_bytes()
+        file = open(path, "rb", buffering=0)
+        try:
+            return _read_container(file)
+        except BaseException:
+            file.close()
+            raise
     except OSError as exc:
         raise IndexFormatError(f"cannot read {path}: {exc}") from exc
-    if len(blob) < _HEADER.size:
+
+
+def _payload_crc(file, start: int) -> tuple[int, int]:
+    """CRC32 of the file from ``start`` to its end, and the file's length,
+    read through one buffer of at most _CRC_CHUNK bytes."""
+    size = os.fstat(file.fileno()).st_size
+    buf = memoryview(bytearray(max(0, min(_CRC_CHUNK, size - start))))
+    file.seek(start)
+    crc = 0
+    while n := file.readinto(buf):
+        crc = zlib.crc32(buf[:n], crc)
+        start += n
+    return crc, start
+
+
+def _read_container(file) -> tuple[EntityIndex, dict]:
+    fd = file.fileno()
+    head = os.pread(fd, _HEADER.size, 0)
+    if len(head) < _HEADER.size:
         raise IndexFormatError("truncated header")
-    magic, version, gcode, flags, delta, crc, nsections = _HEADER.unpack_from(
-        blob, 0)
+    magic, version, gcode, flags, delta, crc, nsections = _HEADER.unpack(head)
     if magic[:3] != MAGIC[:3]:
         raise IndexFormatError(f"bad magic {magic!r}")
     if (magic, version) != (MAGIC, FORMAT_VERSION):
@@ -504,10 +577,11 @@ def _open(path) -> tuple[EntityIndex, dict]:
                                f"(magic {magic!r}); expected "
                                f"{FORMAT_VERSION}")
     table_end = _HEADER.size + _SECTION_ENTRY.size * nsections
-    if len(blob) < table_end:
+    entries = os.pread(fd, table_end - _HEADER.size, _HEADER.size)
+    if len(entries) < table_end - _HEADER.size:
         raise IndexFormatError("truncated section table")
-    view = memoryview(blob)
-    if zlib.crc32(view[table_end:]) != crc:
+    payload_crc, file_bytes = _payload_crc(file, table_end)
+    if payload_crc != crc:
         raise IndexFormatError("checksum mismatch (corrupt or truncated file)")
     try:
         granularity = list(Granularity)[gcode]
@@ -517,33 +591,39 @@ def _open(path) -> tuple[EntityIndex, dict]:
         raise IndexFormatError(f"unknown flags {flags:#x}")
     if not 0.0 <= delta <= 4.0:
         raise IndexFormatError(f"delta {delta} outside [0, 4]")
-    sections: dict[bytes, memoryview] = {}
+    sections: dict[bytes, tuple[int, int]] = {}
     table: dict[str, dict[str, int]] = {}
-    for i in range(nsections):
-        tag, off, length = _SECTION_ENTRY.unpack_from(
-            blob, _HEADER.size + i * _SECTION_ENTRY.size)
-        if off < table_end or off + length > len(blob):
+    for tag, off, length in _SECTION_ENTRY.iter_unpack(entries):
+        if off < table_end or off + length > file_bytes:
             raise IndexFormatError(f"section {tag!r} out of bounds")
-        sections[tag] = view[off:off + length]
+        sections[tag] = (off, length)
         table[tag.decode("ascii", "replace")] = {"offset": off,
                                                  "bytes": length}
+
+    def read(tag: bytes) -> memoryview:
+        off, length = sections[tag]
+        buf = os.pread(fd, length, off)
+        if len(buf) != length:
+            raise IndexFormatError(f"section {tag!r} cut short")
+        return memoryview(buf)
+
     try:
-        entities = _decode_sdic(sections[b"SDIC"])
-        slices = _decode_slic(sections[b"SLIC"], granularity)
-        offsets, counts, total = _decode_pdir(sections[b"PDIR"],
-                                              len(entities),
-                                              len(sections[b"POST"]))
+        entities = _decode_sdic(read(b"SDIC"))
+        slices = _decode_slic(read(b"SLIC"), granularity)
+        post_offset, post_len = sections[b"POST"]
+        offsets, counts, total = _decode_pdir(read(b"PDIR"), len(entities),
+                                              post_len)
     except KeyError as exc:
         raise IndexFormatError(f"missing section {exc}") from None
     except _MALFORMED as exc:
         raise IndexFormatError(f"malformed section data: {exc}") from exc
     index = EntityIndex(granularity, delta, bool(flags & _FLAG_APPROX_USERS),
                         entities, slices, {}, total,
-                        _Blocks(sections[b"POST"], offsets, counts, slices))
+                        _Blocks(file, post_offset, offsets, counts, slices))
     if len(index._entity_ids) != len(entities):
         raise IndexFormatError("duplicate entity names")
     facts = {"magic": MAGIC.decode("ascii"), "version": version, "crc32": crc,
-             "file_bytes": len(blob), "sections": table}
+             "file_bytes": file_bytes, "sections": table}
     return index, facts
 
 
@@ -556,27 +636,28 @@ def inspect_file(path, verify: bool = False) -> dict:
     count and the largest co-occurrence fan-out of a posting.
     """
     index, facts = _open(path)
-    out = {
-        "magic": facts["magic"],
-        "version": facts["version"],
-        "granularity": index.granularity.value,
-        "delta": index.delta,
-        "approx_users": index.approx_users,
-        "crc32": facts["crc32"],
-        "file_bytes": facts["file_bytes"],
-        "sections": facts["sections"],
-        "entities": len(index.entities),
-        "periods": len(index.slices),
-        "postings": index.posting_count(),
-    }
-    if verify:
-        pairs = fanout_max = 0
-        for eid in range(len(index.entities)):
-            for p in index._blocks.decode(eid).values():
-                pairs += len(p[_CO])
-                fanout_max = max(fanout_max, len(p[_CO]))
-        out["cooccur_pairs"] = pairs
-        out["cooccur_fanout_max"] = fanout_max
+    with index:
+        out = {
+            "magic": facts["magic"],
+            "version": facts["version"],
+            "granularity": index.granularity.value,
+            "delta": index.delta,
+            "approx_users": index.approx_users,
+            "crc32": facts["crc32"],
+            "file_bytes": facts["file_bytes"],
+            "sections": facts["sections"],
+            "entities": len(index.entities),
+            "periods": len(index.slices),
+            "postings": index.posting_count(),
+        }
+        if verify:
+            pairs = fanout_max = 0
+            for eid in range(len(index.entities)):
+                for p in index._blocks.decode(eid).values():
+                    pairs += len(p[_CO])
+                    fanout_max = max(fanout_max, len(p[_CO]))
+            out["cooccur_pairs"] = pairs
+            out["cooccur_fanout_max"] = fanout_max
     return out
 
 

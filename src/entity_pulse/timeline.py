@@ -22,6 +22,11 @@ class Granularity(Enum):
     MONTH = "month"
     YEAR = "year"
 
+    # Members are singletons compared by identity, so the identity hash
+    # agrees with equality. Enum.__hash__ is Python code, and the period
+    # cache below hashes a granularity on every lookup.
+    __hash__ = object.__hash__
+
     @classmethod
     def parse(cls, token: str) -> "Granularity":
         """The granularity named by ``token``, ignoring case and outer spaces.

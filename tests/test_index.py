@@ -1,5 +1,7 @@
+import os
 import random
 import struct
+import tracemalloc
 import zlib
 from datetime import date, datetime, timezone
 
@@ -407,6 +409,80 @@ class TestCraftedFiles:
             assert not verified
         else:
             assert verified
+
+
+def saved_index(tmp_path, seed=17, name="idx.epx"):
+    """(built index, path it is saved at) for a small random corpus."""
+    _, corpus, _ = build_random_corpus(seed, 500, max_entities=6)
+    idx = build(corpus, delta=1.0)
+    path = tmp_path / name
+    ep.save(idx, path)
+    return idx, path
+
+
+class TestOpenFile:
+    """A loaded index reads its blocks from the open file, not a copy."""
+
+    def test_load_holds_a_small_part_of_the_file(self, tmp_path):
+        # Two years of days with 40 entities: ~2.2 MB, nearly all POST.
+        doc = {"seed": 7, "window": {"from": "2015-01-01",
+                                     "to": "2017-01-01"},
+               "granularity": "day", "users": 50,
+               "entities": [{"id": f"ent:E{i:02d}", "rate": 1}
+                            for i in range(40)],
+               "extra_mention_prob": 0.3, "events": []}
+        rows, _ = ep.generate(ep.scenario_from_json(doc))
+        path = tmp_path / "big.epx"
+        ep.save(ep.build(make_corpus(rows), ep.Granularity.DAY, 1.0), path)
+        size = path.stat().st_size
+        assert size >= 2 << 20
+        tracemalloc.start()
+        try:
+            idx = ep.load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        with idx:
+            assert peak < size / 4
+            assert idx.posting_count() > 29_000
+
+    def test_answers_survive_an_atomic_replace(self, tmp_path):
+        idx, path = saved_index(tmp_path)
+        other, _ = saved_index(tmp_path, seed=18, name="other.epx")
+        with ep.load(path) as loaded:
+            ep.save(other, path)  # write_atomic: a new file renamed over it
+            assert every_answer(loaded) == every_answer(idx)
+        with ep.load(path) as replaced:
+            assert replaced.dump() == other.dump() != idx.dump()
+
+    def test_truncation_after_load_fails_typed(self, tmp_path):
+        idx, path = saved_index(tmp_path)
+        post, _ = epx_section(path.read_bytes(), b"POST")
+        first, last = idx.entities[0], idx.entities[-1]
+        with ep.load(path) as loaded:
+            assert loaded.entity_postings(first)  # decoded before the cut
+            os.truncate(path, post)  # in place: the same file, cut short
+            with pytest.raises(IndexFormatError, match="cut short"):
+                loaded.entity_postings(last)
+            assert loaded.entity_postings(first) == \
+                idx.entity_postings(first)
+
+    def test_close_is_idempotent_and_typed(self, tmp_path):
+        idx, path = saved_index(tmp_path)
+        first, last = idx.entities[0], idx.entities[-1]
+        with ep.load(path) as loaded:
+            assert loaded.entity_postings(first) == \
+                idx.entity_postings(first)
+        with pytest.raises(ValueError, match="index is closed"):
+            loaded.entity_postings(last)
+        with pytest.raises(ValueError, match="index is closed"):
+            ep.series(loaded, last, window(2015, 2016), "attitude")
+        loaded.close()
+        loaded.close()
+        # Decoded entities still answer; a built index has no file.
+        assert loaded.entity_postings(first) == idx.entity_postings(first)
+        idx.close()
+        assert idx.entity_postings(last)
 
 
 class TestApproxUsers:
