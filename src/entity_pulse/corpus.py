@@ -254,7 +254,6 @@ class Corpus:
         self._size = 0
         self._min_ts: datetime | None = None
         self._max_ts: datetime | None = None
-        self._text_ids: set[str] = set()
 
     def _accept(self, parsed: Iterable[tuple],
                 min_confidence: float | None) -> Iterator[Row]:
@@ -265,8 +264,9 @@ class Corpus:
         duplicate-id rejections. Mentions below ``min_confidence`` are
         dropped, ids are interned in first-seen order, and the record count
         and time span advance; the rows themselves are not stored here.
+        The set of seen text ids lives only as long as the scan does.
         """
-        text_ids = self._text_ids
+        text_ids: set[str] = set()
         entity_ids, entities = self._entity_ids, self.entities
         user_ids, users = self._user_ids, self.users
         for row_no, (text_id, user_id, ts, mentions, pos, neg,

@@ -18,9 +18,12 @@ plus the entity.
 Per period it also keeps the total text and distinct-user counts, so every
 measure is answerable from the index without rescanning raw records.
 
-Distinct users are counted exactly from per-group sets that are discarded
-after counting; ``approx_users=True`` swaps the sets for HyperLogLog
-sketches (<= 2% relative error) to bound memory on very wide corpora.
+Distinct users are counted exactly and the counters are discarded after
+counting. A posting's counter is its first user id until a second distinct
+user arrives, and only then a set; most day-level postings never see a
+second user. ``approx_users=True`` swaps the sets for HyperLogLog sketches
+(<= 2% relative error) to bound memory on very wide corpora; a sketch fed
+one user counts exactly 1, so holding that user as an id changes no count.
 
 The build is one serial pass. :func:`build` runs it over an ingested
 corpus; :func:`build_streaming` runs it straight over a CSV source, so the
@@ -56,6 +59,7 @@ import weakref
 import zlib
 from dataclasses import dataclass
 from datetime import date
+from types import MappingProxyType
 from typing import Iterable, Iterator
 
 from .corpus import Corpus, CorpusStats, Rejection, Row, scan, write_atomic
@@ -69,9 +73,15 @@ _HEADER = struct.Struct("<4sHBBdIH")
 _SECTION_ENTRY = struct.Struct("<4sQQ")
 _FLAG_APPROX_USERS = 1
 
-# Slot layout of a stored posting tuple; the build accumulator is a list
-# of the same slots, with a user set (or sketch) at _USERS.
+# Slot layout of a stored posting tuple. The build accumulator is a list
+# of the same slots, with the first user id at _USERS until a second
+# distinct user turns it into a set (or sketch), and None at _CO until the
+# first co-mention.
 _TC, _USERS, _ATT, _SENT, _POS, _NEG, _CO = range(7)
+
+# The co-occurrence map of every posting without co-entities, built or
+# decoded: one shared map, read-only so that no caller can fill it.
+_NO_COOCCUR = MappingProxyType({})
 
 
 class IndexFormatError(Exception):
@@ -233,6 +243,12 @@ def _aggregate(rows: Iterable[Row], g: Granularity, delta: float,
     """One pass over compact rows into per-period ``[texts, users]`` and
     per-posting accumulator lists, keyed by period start date.
 
+    A posting's user slot holds its first user id as an ``int`` and becomes
+    a counter (a set, or a sketch) holding both ids at the second distinct
+    user; its co-occurrence slot stays ``None`` until the first co-mention.
+    Most day-level postings have one user and no co-entity, and so never
+    pay for a set or a dict.
+
     Co-occurrence values are ``(texts, attitude sum)`` tuples, replaced on
     each update, so the finalized index keeps the maps without a copy.
     The accumulators are keyed period first, not entity first as the index
@@ -263,9 +279,15 @@ def _aggregate(rows: Iterable[Row], g: Granularity, delta: float,
         for e in eids:
             p = per.get(e)
             if p is None:
-                p = per[e] = [0, new_counter(), 0, 0, 0, 0, {}]
+                p = per[e] = [0, uid, 0, 0, 0, 0, None]
             p[_TC] += 1
-            p[_USERS].add(uid)
+            users = p[_USERS]
+            if type(users) is not int:
+                users.add(uid)
+            elif users != uid:
+                counter = p[_USERS] = new_counter()
+                counter.add(users)
+                counter.add(uid)
             p[_ATT] += phi
             p[_SENT] += psi
             if strong_pos:
@@ -274,6 +296,8 @@ def _aggregate(rows: Iterable[Row], g: Granularity, delta: float,
                 p[_NEG] += 1
             if multi:
                 co = p[_CO]
+                if co is None:
+                    co = p[_CO] = {}
                 for e2 in eids:
                     if e2 != e:
                         pc = co.get(e2)
@@ -285,7 +309,8 @@ def _aggregate(rows: Iterable[Row], g: Granularity, delta: float,
 def _finalize(granularity: Granularity, delta: float, approx: bool,
               entities: list[str], raw: tuple[dict, dict]) -> EntityIndex:
     """Turn the accumulators into stored postings keyed entity first, each
-    entity's in period order: user counters become counts, and each
+    entity's in period order: user counters become counts (a lone user id
+    counts 1), postings without co-entities share one empty map, and each
     period's accumulators are dropped once moved."""
     slices, posts = raw
     count = HllCounter.count if approx else len
@@ -300,8 +325,10 @@ def _finalize(granularity: Granularity, delta: float, approx: bool,
             per = postings.get(eid)
             if per is None:
                 per = postings[eid] = {}
-            per[d] = (p[_TC], count(p[_USERS]), p[_ATT], p[_SENT], p[_POS],
-                      p[_NEG], p[_CO])
+            users, co = p[_USERS], p[_CO]
+            per[d] = (p[_TC], 1 if type(users) is int else count(users),
+                      p[_ATT], p[_SENT], p[_POS], p[_NEG],
+                      _NO_COOCCUR if co is None else co)
     return EntityIndex(granularity, delta, approx, entities, slices, postings,
                        total)
 
@@ -454,7 +481,7 @@ class _Blocks:
             co_end = pos + nco * _CO_REC.size
             if co_end > end:
                 raise ValueError("block overrun")
-            co: dict[int, tuple[int, int]] = {}
+            co = {} if nco else _NO_COOCCUR
             prev = -1
             for e2, c, a in _CO_REC.iter_unpack(buf[pos:co_end]):
                 if not prev < e2 < n_entities or e2 == eid:

@@ -3,7 +3,10 @@
 Used only when an index is built with approximate user counting enabled;
 the default build keeps exact per-group user sets. The sketch pays off
 when individual (entity, period) groups see very many distinct users: its
-cost is a fixed 16 KB per group instead of one set entry per user.
+cost is a fixed 16 KB per group instead of one set entry per user. That
+cost applies only to groups with at least two distinct users: a posting
+holds its first user as a plain id and takes a sketch at its second, and
+a lone id counts exactly 1, as a sketch fed one item does.
 
 Precision p=14 gives 16384 one-byte registers and a standard error of
 1.04/sqrt(16384) = 0.81%, well inside the 2% budget the approximate mode
