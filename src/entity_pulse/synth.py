@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from pathlib import Path
 
-from .corpus import csv_line, write_atomic
+from .corpus import _escape_entity, csv_line, write_atomic
 from .timeline import (Granularity, Period, enumerate_periods,
                        parse_period_token)
 
@@ -320,9 +320,7 @@ class _Emitter:
         parts = []
         for m in mentions:
             conf = round(-5.0 + 8.0 * rng.uniform(), 3)
-            escaped = (m.replace("%", "%25").replace(":", "%3A")
-                       .replace(";", "%3B").replace(",", "%2C"))
-            parts.append(f"{escaped}:{conf}")
+            parts.append(f"{_escape_entity(m)}:{conf}")
         fields = [f"t{self.counter:08d}", user, stamp, ";".join(parts),
                   str(pos), str(neg)]
         if self.with_text:

@@ -110,28 +110,25 @@ def _archive(tmp_path) -> Path:
     return path
 
 
-@pytest.mark.parametrize("granularity,min_confidence,approx", [
-    ("day", None, False), ("week", None, False), ("month", None, False),
-    ("year", None, False), ("week", 0.0, False), ("month", -1.0, False),
-    ("month", None, True), ("year", 0.5, True),
+@pytest.mark.parametrize("granularity,min_confidence", [
+    ("day", None), ("week", None), ("month", None), ("year", None),
+    ("week", 0.0), ("month", -1.0), ("year", 0.5),
 ])
 def test_streaming_index_equals_ingest_then_build(tmp_path, capsys,
                                                   granularity,
-                                                  min_confidence, approx):
+                                                  min_confidence):
     archive = _archive(tmp_path)
     argv = ["index", "--input", str(archive), "--output",
             str(tmp_path / "cli.epx"), "--rejects", str(tmp_path / "cli.rej"),
             "--granularity", granularity, "--delta", "1.5"]
     if min_confidence is not None:
         argv += ["--min-confidence", str(min_confidence)]
-    if approx:
-        argv.append("--approx-users")
     assert cli.main(argv) == 0
     summary = json.loads(capsys.readouterr().out)
 
     corpus, stats = ep.ingest(archive, min_confidence=min_confidence)
-    ep.save(ep.build(corpus, ep.Granularity.parse(granularity), 1.5,
-                     approx_users=approx), tmp_path / "ref.epx")
+    ep.save(ep.build(corpus, ep.Granularity.parse(granularity), 1.5),
+            tmp_path / "ref.epx")
     write_rejections(corpus.rejections, tmp_path / "ref.rej")
     assert (tmp_path / "cli.epx").read_bytes() == \
         (tmp_path / "ref.epx").read_bytes()
@@ -181,7 +178,7 @@ def _index_file(tmp_path) -> Path:
     ("index", "delta", "2"), ("index", "delta", True),
     ("index", "min_confidence", "0.5"), ("index", "min_confidence", None),
     ("index", "granularity", "decade"), ("index", "granularity", 5),
-    ("index", "approx_users", "yes"), ("index", "approx_users", 1),
+    ("inspect", "verify", "yes"), ("inspect", "verify", 1),
     ("network", "k", "3"), ("network", "k", 2.5), ("network", "k", True),
     ("network", "variant", "signed"), ("network", "entity", 7),
 ])
@@ -191,6 +188,9 @@ def test_config_values_must_fit_their_option(tmp_path, capsys, command, key,
         out = tmp_path / "out.epx"
         argv = ["index", "--input", str(_archive(tmp_path)),
                 "--output", str(out)]
+    elif command == "inspect":
+        argv = ["inspect", "--index", str(_index_file(tmp_path))]
+        capsys.readouterr()
     else:
         argv = ["network", "--index", str(_index_file(tmp_path)),
                 "--period", "2015-03"]
@@ -205,12 +205,46 @@ def test_config_values_must_fit_their_option(tmp_path, capsys, command, key,
         assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value", [("granularty", "day"),
+                                       ("approx_users", True)])
+def test_config_keys_must_name_an_option(tmp_path, capsys, key, value):
+    out = tmp_path / "out.epx"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({key: value}))
+    assert cli.main(["index", "--input", str(_archive(tmp_path)),
+                     "--output", str(out), "--config", str(config)]) == 1
+    assert _error_line(capsys)["error"] == f"config {key}: unknown option"
+    assert not out.exists()
+
+
+def test_approx_users_is_not_an_option(tmp_path, capsys):
+    out = tmp_path / "out.epx"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["index", "--input", str(_archive(tmp_path)),
+                  "--output", str(out), "--approx-users"])
+    assert exc.value.code == 2
+    assert "--approx-users" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_header_flags_are_a_json_error(tmp_path, capsys):
+    path = _index_file(tmp_path)
+    capsys.readouterr()
+    blob = bytearray(path.read_bytes())
+    blob[7] = 1  # the header's flags byte, outside the payload CRC
+    path.write_bytes(blob)
+    with pytest.raises(ep.IndexFormatError, match="unknown flags"):
+        ep.load(path)
+    assert cli.main(["inspect", "--index", str(path)]) == 1
+    assert "unknown flags" in _error_line(capsys)["error"]
+
+
 def test_config_values_act_like_flags(tmp_path, capsys):
     archive = _archive(tmp_path)
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"delta": 0, "granularity": "week",
-                                  "min_confidence": 0, "approx_users": False,
-                                  "k": 2, "variant": "positive"}))
+                                  "min_confidence": 0, "k": 2,
+                                  "variant": "positive"}))
     by_flags, by_config = tmp_path / "flags.epx", tmp_path / "config.epx"
     assert cli.main(["index", "--input", str(archive), "--output",
                      str(by_flags), "--delta", "0", "--granularity", "week",

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import entity_pulse as ep
 from entity_pulse import measures, relations
 from entity_pulse.index import IndexFormatError, build_streaming
-from entity_pulse.sketch import HllCounter
 
 import oracle
 from helpers import (build_random_corpus, epx_section, make_corpus, month,
@@ -218,25 +217,6 @@ class TestSmallGroups:
         assert counts == {"A": 2, "B": 1, "C": 1}
         assert idx.slice_counts(month(2015, 7)) == (5, 3)
 
-    def test_approx_single_user_counts_one(self):
-        idx = build(make_corpus(user_rows(*[("u1", "AB")] * 5)),
-                    approx_users=True)
-        for e in "AB":
-            assert idx.posting(e, month(2015, 7)).user_count == 1
-        assert idx.slice_counts(month(2015, 7)) == (5, 1)
-
-    def test_approx_promoted_count_equals_a_sketch_of_every_user(self):
-        # The first user never comes back after the group's second one.
-        users = ["first"] + [f"u{i % 400}" for i in range(1000)]
-        rows = [row(f"t{i}", u, "2015-07-05T10:00:00Z", [("A", 1.0)], 1, -1)
-                for i, u in enumerate(users)]
-        corpus = make_corpus(rows)
-        sketch = HllCounter()
-        for u in sorted(set(users)):
-            sketch.add(corpus.users.index(u))
-        got = build(corpus, approx_users=True).posting("A", month(2015, 7))
-        assert got.user_count == sketch.count()
-
     def test_postings_without_co_entities_share_a_read_only_map(
             self, tmp_path):
         rows = user_rows(("u1", "A"), ("u2", "B"), ("u1", "CD"))
@@ -300,8 +280,7 @@ class TestPersistence:
         again = ep.load(path)
         assert again.dump() == idx.dump()
         assert again.entities == idx.entities
-        assert (again.granularity, again.delta, again.approx_users) == \
-            (idx.granularity, idx.delta, idx.approx_users)
+        assert (again.granularity, again.delta) == (idx.granularity, idx.delta)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.epx"
@@ -392,11 +371,10 @@ def epx1_empty_index() -> bytes:
 
 
 class TestContainer:
-    @pytest.mark.parametrize("granularity,approx", [
-        (g, False) for g in ep.Granularity] + [(ep.Granularity.YEAR, True)])
-    def test_save_load_dump_equal(self, tmp_path, granularity, approx):
+    @pytest.mark.parametrize("granularity", ep.Granularity)
+    def test_save_load_dump_equal(self, tmp_path, granularity):
         _, corpus, _ = build_random_corpus(5, 500, max_entities=10)
-        idx = ep.build(corpus, granularity, 1.5, approx_users=approx)
+        idx = ep.build(corpus, granularity, 1.5)
         path = tmp_path / "idx.epx"
         ep.save(idx, path)
         again = ep.load(path)
@@ -501,8 +479,6 @@ GOLDEN_SHA256 = {
         "166bcca5068c98a406104355f1b786d1914f4b5c9aa942618f2a79b99bf11d57",
     "year":
         "8ccdb831f4ba8858affb4cc78918a5af7b59bfe52d793c7351d9d754fcdddd67",
-    "year-approx":
-        "323be39395df15bdcce32d437ddc251568fd27f799a571461dc86fbc49744b3e",
 }
 
 
@@ -512,12 +488,10 @@ class TestGoldenBytes:
 
     @pytest.mark.parametrize("case", GOLDEN_SHA256)
     def test_saved_bytes_are_pinned(self, tmp_path, case):
-        granularity, _, approx = case.partition("-")
         rows, _ = ep.generate(ep.scenario_from_json(GOLDEN_DOC))
         assert len(rows) == 1087
-        idx, _, _ = build_streaming(iter(rows),
-                                    ep.Granularity.parse(granularity), 1.5,
-                                    approx_users=bool(approx))
+        idx, _, _ = build_streaming(iter(rows), ep.Granularity.parse(case),
+                                    1.5)
         path = tmp_path / "golden.epx"
         ep.save(idx, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == \
@@ -638,33 +612,3 @@ class TestOpenFile:
         idx.close()
         assert idx.entity_postings(last)
 
-
-class TestApproxUsers:
-    def test_sketch_mode_within_two_percent(self):
-        # 5000 distinct users over one month; linear-counting regime for
-        # the p=14 sketch, so the estimate lands well inside 2%.
-        rows = [row(f"t{i}", f"user{i}", "2015-07-05T10:00:00Z",
-                    [("A", 1.0)], 1, -1) for i in range(5000)]
-        corpus = make_corpus(rows)
-        idx = build(corpus, approx_users=True)
-        assert idx.approx_users
-        p = idx.posting("A", month(2015, 7))
-        assert abs(p.user_count - 5000) <= 0.02 * 5000
-        slice_counts = idx.slice_counts(month(2015, 7))
-        assert abs(slice_counts[1] - 5000) <= 0.02 * 5000
-
-    def test_sketch_flag_round_trips(self, tmp_path):
-        rows = [row("t1", "u1", "2015-07-05T10:00:00Z", [("A", 1.0)], 1, -1)]
-        idx = build(make_corpus(rows), approx_users=True)
-        path = tmp_path / "approx.epx"
-        ep.save(idx, path)
-        assert ep.load(path).approx_users
-
-    def test_hll_merge_matches_union(self):
-        a, b = HllCounter(), HllCounter()
-        for i in range(2000):
-            a.add(i)
-        for i in range(1500, 3500):
-            b.add(i)
-        a.merge(b)
-        assert abs(a.count() - 3500) <= 0.02 * 3500

@@ -70,6 +70,21 @@ class TestDeterminism:
         assert stats.rejected_count == 0
         assert json.loads(manifest_path.read_text())["rows"] == manifest["rows"]
 
+    def test_entity_ids_needing_escapes_round_trip_through_ingest(
+            self, tmp_path):
+        ids = ["100%", "ent:A", "a;b", "x,y", "cr\rhere", "lf\nhere",
+               "all%:;,\r\n"]
+        spec = ep.scenario_from_json(
+            doc_with(entities=[{"id": e, "rate": 2} for e in ids]))
+        rows, manifest = ep.generate(spec)
+        assert not any("\r" in r or "\n" in r for r in rows)  # a row a line
+        path = tmp_path / "c.csv"
+        ep.write_corpus(spec, path)
+        corpus, stats = ep.ingest(path)
+        assert stats.rejected_count == 0
+        assert stats.record_count == manifest["rows"] == len(rows)
+        assert sorted(corpus.entities) == sorted(ids)
+
 
 class TestEmptyScenario:
     def test_zero_rates_empty_corpus_empty_manifest(self):
