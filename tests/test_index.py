@@ -217,6 +217,16 @@ class TestSmallGroups:
         assert counts == {"A": 2, "B": 1, "C": 1}
         assert idx.slice_counts(month(2015, 7)) == (5, 3)
 
+    def test_promoted_count_is_every_distinct_user(self):
+        # The first user never comes back after the group's second one.
+        users = ["first"] + [f"u{i % 400}" for i in range(1000)]
+        rows = [row(f"t{i}", u, "2015-07-05T10:00:00Z", [("A", 1.0)], 1, -1)
+                for i, u in enumerate(users)]
+        idx = assert_users_match_oracle(rows)
+        p = idx.posting("A", month(2015, 7))
+        assert (p.text_count, p.user_count) == (1001, 401)
+        assert idx.slice_counts(month(2015, 7)) == (1001, 401)
+
     def test_postings_without_co_entities_share_a_read_only_map(
             self, tmp_path):
         rows = user_rows(("u1", "A"), ("u2", "B"), ("u1", "CD"))
@@ -496,6 +506,31 @@ class TestGoldenBytes:
         ep.save(idx, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == \
             GOLDEN_SHA256[case]
+
+
+    def test_ignored_build_keywords_leave_bytes_pinned(self, tmp_path):
+        rows, _ = ep.generate(ep.scenario_from_json(GOLDEN_DOC))
+        corpus, _ = ep.ingest(iter(rows))
+        idx = ep.build(corpus, ep.Granularity.YEAR, 1.5, approx_users=True,
+                       max_workers=2)
+        path = tmp_path / "golden.epx"
+        ep.save(idx, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            GOLDEN_SHA256["year"]
+
+
+class TestIgnoredBuildKeywords:
+    """``build`` still takes ``approx_users`` and ``max_workers`` and counts
+    exactly whatever they say."""
+
+    def test_approx_users_counts_every_user_exactly(self):
+        rows = [row(f"t{i}", f"user{i}", "2015-07-05T10:00:00Z",
+                    [("A", 1.0)], 1, -1) for i in range(5000)]
+        corpus = make_corpus(rows)
+        idx = build(corpus, approx_users=True, max_workers=4)
+        assert idx.posting("A", month(2015, 7)).user_count == 5000
+        assert idx.slice_counts(month(2015, 7)) == (5000, 5000)
+        assert idx.dump() == build(corpus).dump()
 
 
 @pytest.fixture(scope="module")
