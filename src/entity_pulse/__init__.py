@@ -1,18 +1,17 @@
 """Entity-centric temporal analytics over sentiment-annotated text archives."""
 
 from .corpus import (AnnotatedText, Corpus, CorpusStats, EntityMention,
-                     IngestError, Rejection, SentimentScores,
-                     derive_attitude, derive_sentimentality, ingest,
+                     IngestError, Rejection, SentimentScores, ingest,
                      parse_record, serialize_record)
 from .index import (EntityIndex, EntityPosting, IndexFormatError, PeriodSlice,
-                    build, inspect_file, load, posting, save)
+                    build, inspect_file, load, save)
 from .measures import (MEASURES, MeasurePoint, RankedPeriods, attitude,
                        controversiality, popularity_c, popularity_cu,
                        popularity_u, sentimentality, series, top_k_periods)
 from .relations import (RankedNetwork, connectedness_to_set,
                         direct_connectedness, indirect_connectedness,
                         k_network, signed_k_network)
-from .spam import NBModel, classify, filter_corpus, load_model, save_model, train
+from .spam import NBModel, classify, filter_rows, load_model, save_model, train
 from .synth import (ScenarioError, ScenarioSpec, SplitMix64, generate,
                     generate_labeled_docs, load_scenario, scenario_from_json,
                     write_corpus)
@@ -27,12 +26,11 @@ __all__ = [
     "RankedNetwork", "RankedPeriods", "Rejection", "ScenarioError",
     "ScenarioSpec", "SentimentScores", "SplitMix64", "attitude", "build",
     "classify", "connectedness_to_set", "controversiality",
-    "derive_attitude", "derive_sentimentality", "direct_connectedness",
-    "enumerate_periods", "filter_corpus", "generate",
+    "direct_connectedness", "enumerate_periods", "filter_rows", "generate",
     "generate_labeled_docs", "indirect_connectedness", "ingest",
     "inspect_file", "k_network", "load", "load_model", "load_scenario",
     "parse_record", "period_of", "popularity_c", "popularity_cu",
-    "popularity_u", "posting", "save", "save_model", "scenario_from_json",
+    "popularity_u", "save", "save_model", "scenario_from_json",
     "sentimentality", "series", "serialize_record", "signed_k_network",
     "top_k_periods", "train", "write_corpus",
 ]

@@ -2,17 +2,23 @@
 
 Subcommands: ingest, train-spam, filter, index, inspect, series, topk,
 connectedness, network, generate. Query outputs are CSV data rows (no
-header; column orders documented in the README) or JSON lines; diagnostics
-go to stderr as JSON lines. File outputs are written atomically via a
-temp file and rename. Exit codes: 0 success, 1 runtime failure, 2 usage
-error. An unknown entity is an answer (empty/zero output), not an error.
+header; column orders are given by the ``*_csv_rows`` docstrings in
+``measures`` and ``relations``, and connectedness rows are
+``entity,other,period_start,period_end,kind,value``) or JSON lines;
+diagnostics go to stderr as JSON lines. File outputs are written
+atomically via a temp file and rename. Exit codes: 0 success, 1 runtime
+failure, 2 usage error. An unknown entity is an answer (empty/zero
+output), not an error.
 
 Every subcommand accepts ``--config FILE`` with a JSON object of option
-defaults (keys match option names with dashes as underscores); explicit
-flags win over the config file. A key must name an option of some
-subcommand, so that subcommands can share one file. A config value must be
-of its option's kind: a number (an integer where the option takes one),
-one of the option's choices, true/false for a flag, or else a string.
+defaults (keys match option names with dashes as underscores, so
+``--from`` is ``from``); explicit flags win over the config file. A key
+must name an option of some subcommand, so that subcommands can share one
+file. A config value must be of its option's kind: a number (an integer
+where the option takes one), one of the option's choices, true/false for
+a flag, or else a string. A query runs at its index's granularity unless
+``--granularity`` says otherwise (then it fails); ``epx index`` builds by
+month unless told otherwise.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
+from collections import Counter, deque
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -33,7 +39,6 @@ from .timeline import (Granularity, enumerate_periods, parse_period_token,
                        parse_window)
 
 _DEFAULTS = {
-    "granularity": "month",
     "delta": 2.0,
     "k": 10,
     "min_support": 1,
@@ -74,6 +79,13 @@ def _json_lines(records: list[dict]) -> list[str]:
     return [json.dumps(r) for r in records]
 
 
+def _options(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """``parser``'s options but ``--help`` and ``--config``, by config key:
+    the option name with dashes as underscores (``--from`` is ``from``)."""
+    return {a.option_strings[-1].lstrip("-").replace("-", "_"): a
+            for a in parser._actions if a.dest not in ("help", "config")}
+
+
 def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
                   required: tuple[str, ...]) -> argparse.Namespace:
     config = {}
@@ -87,22 +99,24 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
         for key in config:
             if key not in args.config_keys:
                 raise CliError(f"config {key}: unknown option")
-    actions = {a.dest: a for a in parser._actions}
-    for key, value in vars(args).items():
-        if value is None:
+    options = _options(parser)
+    for key, action in options.items():
+        if getattr(args, action.dest) is None:
             if key in config:
-                setattr(args, key, _config_value(actions[key], config[key]))
+                value = _config_value(key, action, config[key])
             else:
-                setattr(args, key, _DEFAULTS.get(key))
+                value = _DEFAULTS.get(key)
+            setattr(args, action.dest, value)
     for key in required:
-        if getattr(args, key) is None:
-            parser.error(f"missing required option --{key.replace('_', '-')}")
+        if getattr(args, options[key].dest) is None:
+            parser.error("missing required option "
+                         f"{options[key].option_strings[-1]}")
     return args
 
 
-def _config_value(action: argparse.Action, value):
+def _config_value(key: str, action: argparse.Action, value):
     """A config file's ``value`` for ``action``'s option, held to what the
-    command line accepts there; raises CliError naming the key."""
+    command line accepts there; raises CliError naming the ``key``."""
     if action.nargs == 0:  # a store_true flag
         ok, kind = isinstance(value, bool), "true or false"
     elif action.type is int:
@@ -116,8 +130,7 @@ def _config_value(action: argparse.Action, value):
         ok = ok and value in action.choices
         kind += f" in {list(action.choices)}"
     if not ok:
-        raise CliError(f"config {action.dest}: expected {kind}, "
-                       f"got {value!r}")
+        raise CliError(f"config {key}: expected {kind}, got {value!r}")
     return value
 
 
@@ -129,6 +142,10 @@ def _load_index(args) -> index_mod.EntityIndex:
 
 
 def _granularity(args, index=None) -> Granularity:
+    """The granularity to build at (month unless given), or to query
+    ``index`` at: its own unless given, and a given one must match it."""
+    if args.granularity is None:
+        return Granularity.MONTH if index is None else index.granularity
     g = Granularity.parse(args.granularity)
     if index is not None and g is not index.granularity:
         raise CliError(f"index granularity is {index.granularity.value}, "
@@ -146,14 +163,15 @@ def _warn_unknown_entity(index, *entities) -> None:
 
 def _cmd_ingest(args, parser):
     _merge_config(args, parser, ("input",))
-    corpus, stats = corpus_mod.ingest(args.input,
-                                      min_confidence=args.min_confidence)
+    corpus, rows = corpus_mod.scan(args.input,
+                                   min_confidence=args.min_confidence)
+    if args.output:
+        corpus_mod.write_records(corpus, rows, args.output)
+    else:
+        deque(rows, maxlen=0)  # stats only: fold the scan, keep no row
     if args.rejects:
         corpus_mod.write_rejections(corpus.rejections, args.rejects)
-    if args.output:
-        body = "".join(corpus_mod.serialize_record(r) + "\n"
-                       for r in corpus.records())
-        _write_file(args.output, body)
+    stats = corpus.stats
     span = None
     if stats.time_span:
         span = [stats.time_span[0].isoformat(), stats.time_span[1].isoformat()]
@@ -179,12 +197,10 @@ def _cmd_train_spam(args, parser):
 def _cmd_filter(args, parser):
     _merge_config(args, parser, ("input", "model", "output"))
     model = spam_mod.load_model(args.model)
-    corpus, _ = corpus_mod.ingest(args.input,
-                                  min_confidence=args.min_confidence)
-    kept, removed = spam_mod.filter_corpus(corpus, model)
-    body = "".join(corpus_mod.serialize_record(r) + "\n"
-                   for r in kept.records())
-    _write_file(args.output, body)
+    corpus, rows = corpus_mod.scan(args.input,
+                                   min_confidence=args.min_confidence)
+    kept, removed = spam_mod.filter_rows(rows, model)
+    corpus_mod.write_records(corpus, kept, args.output)
     print(json.dumps({"removed_count": removed, "kept_count": len(kept)}))
     return 0
 
@@ -219,7 +235,7 @@ def _cmd_inspect(args, parser):
 
 
 def _cmd_series(args, parser):
-    _merge_config(args, parser, ("index", "entity", "measure", "from_", "to"))
+    _merge_config(args, parser, ("index", "entity", "measure", "from", "to"))
     index = _load_index(args)
     _granularity(args, index)
     _warn_unknown_entity(index, args.entity)
@@ -235,7 +251,7 @@ def _cmd_series(args, parser):
 
 
 def _cmd_topk(args, parser):
-    _merge_config(args, parser, ("index", "entity", "measure", "from_", "to"))
+    _merge_config(args, parser, ("index", "entity", "measure", "from", "to"))
     index = _load_index(args)
     _granularity(args, index)
     _warn_unknown_entity(index, args.entity)
@@ -252,7 +268,7 @@ def _cmd_topk(args, parser):
 
 
 def _cmd_connectedness(args, parser):
-    _merge_config(args, parser, ("index", "entity", "other", "from_", "to"))
+    _merge_config(args, parser, ("index", "entity", "other", "from", "to"))
     index = _load_index(args)
     _granularity(args, index)
     others = [o for o in args.other.split(",") if o]
@@ -451,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=_cmd_generate)
 
-    keys = {a.dest for sp in sub.choices.values() for a in sp._actions}
+    keys = {key for sp in sub.choices.values() for key in _options(sp)}
     for sp in sub.choices.values():  # one config file may serve them all
         sp.set_defaults(config_keys=keys)
     return parser

@@ -31,6 +31,7 @@ import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 from urllib.parse import unquote
@@ -97,14 +98,6 @@ class CorpusStats:
     rejected_count: int
     distinct_users: int
     time_span: tuple[datetime, datetime] | None
-
-
-def derive_attitude(text: AnnotatedText) -> int:
-    return text.attitude
-
-
-def derive_sentimentality(text: AnnotatedText) -> int:
-    return text.sentimentality
 
 
 def csv_line(fields: list) -> str:
@@ -236,12 +229,17 @@ def serialize_record(record: AnnotatedText) -> str:
 #  attitude, sentimentality, text|None)
 Row = tuple
 
+# Timestamps are UTC, so a stable sort on the timestamp puts the months in
+# order and keeps rows with equal timestamps in file order.
+_by_time = itemgetter(2)
+
 
 class Corpus:
-    """Immutable ingested archive, partitioned by calendar month.
+    """Immutable ingested archive: its accepted rows in one list, stably
+    sorted by timestamp, with the user and entity ids they are interned to.
 
-    Records inside each partition are sorted by timestamp. The handle is
-    safe for concurrent reads; all mutation happens during ingest.
+    The handle is safe for concurrent reads; all mutation happens during
+    ingest.
     """
 
     def __init__(self) -> None:
@@ -249,7 +247,7 @@ class Corpus:
         self._entity_ids: dict[str, int] = {}
         self.users: list[str] = []
         self._user_ids: dict[str, int] = {}
-        self._partitions: dict[tuple[int, int], list[Row]] = {}
+        self._rows: list[Row] = []
         self.rejections: list[Rejection] = []
         self._size = 0
         self._min_ts: datetime | None = None
@@ -295,15 +293,6 @@ class Corpus:
             yield (text_id, uid, ts, tuple(interned), pos, neg, pos + neg,
                    pos - neg - 2, text)
 
-    def _store(self, rows: Iterable[Row]) -> None:
-        """Keep ``rows`` in their month partitions, each sorted by time."""
-        parts = self._partitions
-        for row in rows:
-            ts = row[2]
-            parts.setdefault((ts.year, ts.month), []).append(row)
-        for part in parts.values():
-            part.sort(key=lambda r: r[2])
-
     def __len__(self) -> int:
         return self._size
 
@@ -315,27 +304,15 @@ class Corpus:
         return CorpusStats(self._size, len(self.rejections),
                            len(self.users), span)
 
-    @property
-    def has_text(self) -> bool:
-        return any(row[8] is not None
-                   for rows in self._partitions.values() for row in rows)
-
-    def partitions(self) -> Iterator[tuple[tuple[int, int], list[Row]]]:
-        """Month partitions in chronological order."""
-        for key in sorted(self._partitions):
-            yield key, self._partitions[key]
-
-    def _rows(self) -> Iterator[Row]:
-        for _, rows in self.partitions():
-            yield from rows
+    def _record(self, row: Row) -> AnnotatedText:
+        return AnnotatedText(
+            row[0], self.users[row[1]], row[2],
+            tuple(EntityMention(self.entities[e], c) for e, c in row[3]),
+            SentimentScores(row[4], row[5]), row[8])
 
     def records(self) -> Iterator[AnnotatedText]:
-        """All records as public objects, chronological within partitions."""
-        for row in self._rows():
-            yield AnnotatedText(
-                row[0], self.users[row[1]], row[2],
-                tuple(EntityMention(self.entities[e], c) for e, c in row[3]),
-                SentimentScores(row[4], row[5]), row[8])
+        """All records as public objects, in time order."""
+        return map(self._record, self._rows)
 
 
 def _open_source(source) -> tuple[Iterable[str], bool]:
@@ -392,7 +369,8 @@ def scan(source, min_confidence: float | None = None
 
 def ingest(source, min_confidence: float | None = None
            ) -> tuple[Corpus, CorpusStats]:
-    """Read rows from ``source`` into an immutable corpus handle.
+    """Read rows from ``source`` into an immutable corpus handle, which
+    keeps the accepted rows in time order.
 
     ``source`` is a path (``.gz`` decompressed transparently), an open text
     stream, or an iterable of lines. Mentions with confidence strictly below
@@ -401,7 +379,7 @@ def ingest(source, min_confidence: float | None = None
     :class:`IngestError` carrying the position reached.
     """
     corpus, rows = scan(source, min_confidence)
-    corpus._store(rows)
+    corpus._rows = sorted(rows, key=_by_time)
     return corpus, corpus.stats
 
 
@@ -435,6 +413,17 @@ def write_atomic(path, binary: bool = False):
         with suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def write_records(corpus: Corpus, rows: Iterable[Row], path) -> None:
+    """Canonical CSV of ``rows``, compact rows interned by ``corpus`` (as
+    :func:`scan` yields them), one line per record in time order.
+
+    The rows are held once, to sort them, and written line by line.
+    """
+    with write_atomic(path) as fh:
+        for row in sorted(rows, key=_by_time):
+            fh.write(serialize_record(corpus._record(row)) + "\n")
 
 
 def write_rejections(rejections: Iterable[Rejection], path) -> None:

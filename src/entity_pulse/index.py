@@ -222,11 +222,6 @@ class EntityIndex:
         }
 
 
-def posting(index: EntityIndex, entity: str, period: Period
-            ) -> EntityPosting | None:
-    return index.posting(entity, period)
-
-
 # ---------------------------------------------------------------------------
 # build
 # ---------------------------------------------------------------------------
@@ -338,7 +333,7 @@ def build(corpus: Corpus, granularity: Granularity, delta: float, *,
     count meets the <= 2% error that ``approx_users=True`` promised.
     """
     _check_delta(delta)
-    raw = _aggregate(corpus._rows(), granularity, delta)
+    raw = _aggregate(corpus._rows, granularity, delta)
     return _finalize(granularity, delta, list(corpus.entities), raw)
 
 

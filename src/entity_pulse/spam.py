@@ -18,8 +18,9 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
-from .corpus import Corpus, CorpusStats, write_atomic
+from .corpus import Row, write_atomic
 
 CLASSES = ("spam", "ham")
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -89,29 +90,29 @@ def classify(model: NBModel, text: str) -> tuple[str, float]:
     return label, p[label]
 
 
-def filter_corpus(corpus: Corpus, model: NBModel
-                  ) -> tuple[Corpus, int]:
-    """Drop records classified as spam; records without text are kept.
+def filter_rows(rows: Iterable[Row], model: NBModel
+                ) -> tuple[list[Row], int]:
+    """Drop rows classified as spam; rows without text are kept.
 
-    Returns the filtered corpus handle and the number of removed records.
-    Requires a corpus ingested from the extended schema with a text column.
+    ``rows`` are compact rows as :func:`corpus.scan` yields them. Returns
+    the surviving rows, in their order, and the number of removed rows.
+    Raises ValueError if no row carries text: spam filtering needs the
+    extended schema with a text column.
     """
-    if not corpus.has_text:
+    kept: list[Row] = []
+    removed = 0
+    has_text = False
+    for row in rows:
+        text = row[8]
+        if text is not None:
+            has_text = True
+            if classify(model, text)[0] == "spam":
+                removed += 1
+                continue
+        kept.append(row)
+    if not has_text:
         raise ValueError("corpus carries no text column; spam filtering "
                          "needs the extended 7-column schema")
-    kept = Corpus()
-    removed = 0
-    survivors = []
-    for rec in corpus.records():
-        if rec.text is not None and classify(model, rec.text)[0] == "spam":
-            removed += 1
-            continue
-        survivors.append((0, (rec.text_id, rec.user_id, rec.timestamp,
-                              tuple((m.entity_id, m.confidence)
-                                    for m in rec.mentions),
-                              rec.sentiment.positive, rec.sentiment.negative,
-                              rec.text)))
-    kept._store(kept._accept(survivors, None))
     return kept, removed
 
 

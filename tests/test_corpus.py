@@ -103,12 +103,12 @@ class TestDerivedScores:
     @pytest.mark.parametrize("pos,neg,phi", [(3, -4, -1), (1, -1, 0), (5, -1, 4)])
     def test_attitude(self, pos, neg, phi):
         rec = ep.parse_record(row("t", "u", "2015-01-01T00:00:00Z", [], pos, neg))
-        assert ep.derive_attitude(rec) == phi
+        assert rec.attitude == phi
 
     @pytest.mark.parametrize("pos,neg,psi", [(3, -4, 5), (1, -1, 0), (5, -5, 8)])
     def test_sentimentality(self, pos, neg, psi):
         rec = ep.parse_record(row("t", "u", "2015-01-01T00:00:00Z", [], pos, neg))
-        assert ep.derive_sentimentality(rec) == psi
+        assert rec.sentimentality == psi
 
 
 # NUL is unrepresentable in the row format; surrogates are not valid text.
@@ -210,14 +210,12 @@ class TestIngest:
             _, stats = ep.ingest(iter(shuffled))
             assert stats == base
 
-    def test_records_sorted_within_partition(self):
+    def test_records_sorted_by_time(self):
         rows = [row("a", "u", "2015-01-20T00:00:00Z", [], 1, -1),
                 row("b", "u", "2015-01-05T00:00:00Z", [], 1, -1),
                 row("c", "u", "2015-01-10T00:00:00Z", [], 1, -1)]
         corpus, _ = ep.ingest(iter(rows))
-        for _, part in corpus.partitions():
-            stamps = [r[2] for r in part]
-            assert stamps == sorted(stamps)
+        assert [r.text_id for r in corpus.records()] == ["b", "c", "a"]
 
     def test_gzip_by_extension(self, tmp_path):
         path = tmp_path / "corpus.csv.gz"

@@ -6,9 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import entity_pulse as ep
+from entity_pulse.corpus import scan
 from entity_pulse.spam import posteriors, read_labeled_csv, tokenize
 
-from helpers import make_corpus, row
+from helpers import row
 
 
 class TestTokenize:
@@ -168,7 +169,12 @@ class TestPersistence:
             read_labeled_csv(bad)
 
 
-def textual_corpus(spam_texts, ham_texts):
+def scanned(lines):
+    """The compact rows that ``scan`` yields for CSV ``lines``."""
+    return scan(iter(lines))[1]
+
+
+def textual_rows(spam_texts, ham_texts):
     rows = []
     for i, text in enumerate(spam_texts):
         rows.append(row(f"s{i}", "u1", "2015-07-05T10:00:00Z",
@@ -176,32 +182,32 @@ def textual_corpus(spam_texts, ham_texts):
     for i, text in enumerate(ham_texts):
         rows.append(row(f"h{i}", "u2", "2015-07-06T10:00:00Z",
                         [("e", 1.0)], 1, -1, text=text))
-    return make_corpus(rows)
+    return scanned(rows)
 
 
-class TestFilterCorpus:
+class TestFilterRows:
     def test_all_ham_model_removes_nothing(self):
         model = ep.train([("jackpot", "spam"), ("anything else here", "ham"),
                           ("more regular words", "ham")])
-        corpus = textual_corpus([], ["regular words", "more words"])
-        kept, removed = ep.filter_corpus(corpus, model)
+        kept, removed = ep.filter_rows(
+            textual_rows([], ["regular words", "more words"]), model)
         assert removed == 0
         assert len(kept) == 2
 
     def test_everything_spam(self):
         model = ep.train([("jackpot lottery", "spam"),
                           ("meeting notes", "ham")])
-        corpus = textual_corpus(["jackpot jackpot", "lottery jackpot"], [])
-        kept, removed = ep.filter_corpus(corpus, model)
+        kept, removed = ep.filter_rows(
+            textual_rows(["jackpot jackpot", "lottery jackpot"], []), model)
         assert removed == 2
         assert len(kept) == 0
 
     def test_textless_corpus_rejected(self):
         model = ep.train([("jackpot", "spam"), ("meeting", "ham")])
-        corpus = make_corpus([row("t1", "u1", "2015-07-05T10:00:00Z",
-                                  [("e", 1.0)], 1, -1)])
+        rows = scanned([row("t1", "u1", "2015-07-05T10:00:00Z",
+                            [("e", 1.0)], 1, -1)])
         with pytest.raises(ValueError, match="text column"):
-            ep.filter_corpus(corpus, model)
+            ep.filter_rows(rows, model)
 
     def test_planted_block_recovered_within_two_percent(self):
         doc = {
@@ -213,8 +219,7 @@ class TestFilterCorpus:
         }
         rows, manifest = ep.generate(ep.scenario_from_json(doc))
         assert manifest["spam_rows"] == 200
-        corpus = make_corpus(rows)
         model = ep.train(ep.generate_labeled_docs(1000, overlap=0.2, seed=8))
-        kept, removed = ep.filter_corpus(corpus, model)
+        kept, removed = ep.filter_rows(scanned(rows), model)
         assert abs(removed - 200) <= 0.02 * 200
         assert len(kept) + removed == manifest["rows"]
