@@ -3,8 +3,8 @@
 from .corpus import (AnnotatedText, Corpus, CorpusStats, EntityMention,
                      IngestError, Rejection, SentimentScores, ingest,
                      parse_record, serialize_record)
-from .index import (EntityIndex, EntityPosting, IndexFormatError, PeriodSlice,
-                    build, inspect_file, load, save)
+from .index import (EntityIndex, EntityPosting, IndexFormatError, build,
+                    inspect_file, load, save)
 from .measures import (MEASURES, MeasurePoint, RankedPeriods, attitude,
                        controversiality, popularity_c, popularity_cu,
                        popularity_u, sentimentality, series, top_k_periods)
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnnotatedText", "Corpus", "CorpusStats", "EntityIndex", "EntityMention",
     "EntityPosting", "Granularity", "IndexFormatError", "IngestError",
-    "MEASURES", "MeasurePoint", "NBModel", "Period", "PeriodSlice",
+    "MEASURES", "MeasurePoint", "NBModel", "Period",
     "RankedNetwork", "RankedPeriods", "Rejection", "ScenarioError",
     "ScenarioSpec", "SentimentScores", "SplitMix64", "attitude", "build",
     "classify", "connectedness_to_set", "controversiality",

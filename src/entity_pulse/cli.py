@@ -336,13 +336,10 @@ def _cmd_network(args, parser):
 def _cmd_generate(args, parser):
     _merge_config(args, parser, ("spec", "output"))
     try:
-        spec = synth_mod.load_scenario(args.spec)
-        rows, manifest = synth_mod.generate(spec)
+        manifest = synth_mod.write_corpus(synth_mod.load_scenario(args.spec),
+                                          args.output, args.manifest or None)
     except synth_mod.ScenarioError as exc:
         raise CliError(str(exc)) from exc
-    _write_file(args.output, "\n".join(rows) + ("\n" if rows else ""))
-    if args.manifest:
-        _write_file(args.manifest, json.dumps(manifest, indent=2) + "\n")
     print(json.dumps({"rows": manifest["rows"],
                       "spam_rows": manifest["spam_rows"]}))
     return 0

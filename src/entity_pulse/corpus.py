@@ -212,16 +212,23 @@ def parse_record(line: str, row: int = 0) -> AnnotatedText | Rejection:
                          SentimentScores(pos, neg), text)
 
 
+def _record_line(text_id, user_id, ts, mentions, pos, neg, text) -> str:
+    """Canonical CSV form of a record's fields, ``mentions`` as ``(escaped
+    entity id, confidence)`` pairs. ``isoformat`` pads years below 1000."""
+    fields = [text_id, user_id, ts.astimezone(UTC).isoformat()[:19] + "Z",
+              ";".join([f"{e}:{c!r}" for e, c in mentions]), str(pos),
+              str(neg)]
+    if text is not None:
+        fields.append(text)
+    return csv_line(fields)
+
+
 def serialize_record(record: AnnotatedText) -> str:
     """Canonical CSV form of a record (inverse of :func:`parse_record`)."""
-    mentions = ";".join(f"{_escape_entity(m.entity_id)}:{m.confidence!r}"
-                        for m in record.mentions)
-    ts = record.timestamp.astimezone(UTC).strftime("%Y-%m-%dT%H:%M:%SZ")
-    fields = [record.text_id, record.user_id, ts, mentions,
-              str(record.sentiment.positive), str(record.sentiment.negative)]
-    if record.text is not None:
-        fields.append(record.text)
-    return csv_line(fields)
+    return _record_line(record.text_id, record.user_id, record.timestamp,
+                        [(_escape_entity(m.entity_id), m.confidence)
+                         for m in record.mentions], record.sentiment.positive,
+                        record.sentiment.negative, record.text)
 
 
 # Internal compact row: ids interned to ints for fast aggregation.
@@ -421,9 +428,13 @@ def write_records(corpus: Corpus, rows: Iterable[Row], path) -> None:
 
     The rows are held once, to sort them, and written line by line.
     """
+    rows = sorted(rows, key=_by_time)  # a scan interns as it is read
+    escaped = [_escape_entity(e) for e in corpus.entities]
     with write_atomic(path) as fh:
-        for row in sorted(rows, key=_by_time):
-            fh.write(serialize_record(corpus._record(row)) + "\n")
+        for row in rows:
+            fh.write(_record_line(row[0], corpus.users[row[1]], row[2],
+                                  [(escaped[e], c) for e, c in row[3]],
+                                  row[4], row[5], row[8]) + "\n")
 
 
 def write_rejections(rejections: Iterable[Rejection], path) -> None:

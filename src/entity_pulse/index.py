@@ -8,8 +8,8 @@ One build pass over a corpus precomputes, per (entity, period):
   (texts with attitude >= delta count as strongly positive, texts with
   attitude <= -delta as strongly negative; an exactly-neutral text counts
   on the positive side only, so the two sets stay disjoint at delta = 0),
-* a sparse co-occurrence map: co-entity -> (shared-text count, summed
-  attitude over the shared texts) with self-pairs excluded.
+* co-occurrence triples ``(co-entity, shared-text count, summed attitude
+  over the shared texts)`` sorted by co-entity, self-pairs excluded.
 
 An entity's neighborhood (every entity appearing in its mentioning texts,
 itself included) is not stored: it is exactly the co-occurring entities
@@ -57,7 +57,6 @@ import weakref
 import zlib
 from dataclasses import dataclass
 from datetime import date
-from types import MappingProxyType
 from typing import Iterable, Iterator
 
 from .corpus import Corpus, CorpusStats, Rejection, Row, scan, write_atomic
@@ -69,26 +68,18 @@ _GRANULARITY_CODES = {g: i for i, g in enumerate(Granularity)}
 _HEADER = struct.Struct("<4sHBBdIH")
 _SECTION_ENTRY = struct.Struct("<4sQQ")
 
-# Slot layout of a stored posting tuple. The build accumulator is a list
-# of the same slots, with the first user id at _USERS until a second
-# distinct user turns it into a set, and None at _CO until the first
-# co-mention.
+# Slot layout of a stored posting tuple. _CO holds the posting's
+# co-occurrence triples as its EPX2 block stores them, () when there are
+# none, so a stored posting holds only ints and tuples of ints, which the
+# cyclic GC stops tracking once it has seen them. The build accumulator is
+# a list of the same slots, with the first user id at _USERS until a second
+# distinct user turns it into a set, and at _CO None until the first
+# co-mention, then a dict from each co-entity to its triple.
 _TC, _USERS, _ATT, _SENT, _POS, _NEG, _CO = range(7)
-
-# The co-occurrence map of every posting without co-entities, built or
-# decoded: one shared map, read-only so that no caller can fill it.
-_NO_COOCCUR = MappingProxyType({})
 
 
 class IndexFormatError(Exception):
     """Index file cannot be loaded: wrong magic/version, truncated, corrupt."""
-
-
-@dataclass(frozen=True, slots=True)
-class PeriodSlice:
-    period: Period
-    text_total: int
-    user_total: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,18 +169,12 @@ class EntityIndex:
 
     # -- public views --------------------------------------------------------
 
-    def period_slice(self, period: Period) -> PeriodSlice | None:
-        counts = self.slice_counts(period)
-        if counts is None:
-            return None
-        return PeriodSlice(period, counts[0], counts[1])
-
     def posting(self, entity: str, period: Period) -> EntityPosting | None:
         raw = self.posting_counts(entity, period)
         if raw is None:
             return None
         names = self.entities
-        cooccur = {names[e]: (c, a) for e, (c, a) in raw[_CO].items()}
+        cooccur = {names[e]: (c, a) for e, c, a in raw[_CO]}
         return EntityPosting(entity, period, raw[_TC], raw[_USERS], raw[_ATT],
                              raw[_SENT], raw[_POS], raw[_NEG], cooccur,
                              frozenset(cooccur).union((entity,)))
@@ -215,7 +200,7 @@ class EntityIndex:
             "posting_count": self._posting_total,
             "slices": [(d.isoformat(), *self.slices[d])
                        for d in sorted(self.slices)],
-            "postings": [(eid, d.isoformat(), *p[:_CO], sorted(p[_CO].items()))
+            "postings": [(eid, d.isoformat(), *p[:_CO], list(p[_CO]))
                          for eid in range(len(self.entities))
                          for d, p in sorted(
                              self._entity_postings(eid).items())],
@@ -237,8 +222,6 @@ def _aggregate(rows: Iterable[Row], g: Granularity, delta: float
     Most day-level postings have one user and no co-entity, and so never
     pay for a set or a dict.
 
-    Co-occurrence values are ``(texts, attitude sum)`` tuples, replaced on
-    each update, so the finalized index keeps the maps without a copy.
     The accumulators are keyed period first, not entity first as the index
     is, because the rows of one text share a period: one lookup per text
     instead of one per mention.
@@ -285,9 +268,9 @@ def _aggregate(rows: Iterable[Row], g: Granularity, delta: float
                     co = p[_CO] = {}
                 for e2 in eids:
                     if e2 != e:
-                        pc = co.get(e2)
-                        co[e2] = (1, phi) if pc is None else (pc[0] + 1,
-                                                              pc[1] + phi)
+                        t = co.get(e2)
+                        co[e2] = (e2, 1, phi) if t is None else (
+                            e2, t[1] + 1, t[2] + phi)
     return slices, posts
 
 
@@ -295,8 +278,9 @@ def _finalize(granularity: Granularity, delta: float, entities: list[str],
               raw: tuple[dict, dict]) -> EntityIndex:
     """Turn the accumulators into stored postings keyed entity first, each
     entity's in period order: user sets become their sizes (a lone user id
-    counts 1), postings without co-entities share one empty map, and each
-    period's accumulators are dropped once moved."""
+    counts 1), co-occurrence dicts become their triples sorted by co-entity
+    (``()`` for none), and each period's accumulators are dropped once
+    moved."""
     slices, posts = raw
     for d, (texts, users) in slices.items():
         slices[d] = (texts, len(users))
@@ -312,7 +296,7 @@ def _finalize(granularity: Granularity, delta: float, entities: list[str],
             users, co = p[_USERS], p[_CO]
             per[d] = (p[_TC], 1 if type(users) is int else len(users),
                       p[_ATT], p[_SENT], p[_POS], p[_NEG],
-                      _NO_COOCCUR if co is None else co)
+                      () if co is None else tuple(sorted(co.values())))
     return EntityIndex(granularity, delta, entities, slices, postings, total)
 
 
@@ -463,15 +447,14 @@ class _Blocks:
             co_end = pos + nco * _CO_REC.size
             if co_end > end:
                 raise ValueError("block overrun")
-            co = {} if nco else _NO_COOCCUR
+            co = tuple(_CO_REC.iter_unpack(buf[pos:co_end]))
             prev = -1
-            for e2, c, a in _CO_REC.iter_unpack(buf[pos:co_end]):
+            for e2, c, _ in co:
                 if not prev < e2 < n_entities or e2 == eid:
                     raise ValueError(f"bad co-entity reference {e2}")
                 if not 1 <= c <= tc:
                     raise ValueError(f"bad shared-text count {c}")
                 prev = e2
-                co[e2] = (c, a)
             pos = co_end
             out[d] = (tc, uc, att, sent, spos, sneg, co)
         if pos != end:
@@ -491,8 +474,8 @@ def _block_chunks(index: EntityIndex, directory: list[tuple[int, int]]
             tc, uc, att, sent, spos, sneg, co = per[d]
             block += _POST_REC.pack(d.toordinal(), tc, uc, att, sent, spos,
                                     sneg, len(co))
-            for e2 in sorted(co):
-                block += _CO_REC.pack(e2, *co[e2])
+            for rec in co:
+                block += _CO_REC.pack(*rec)
         directory.append((offset, len(per)))
         offset += len(block)
         yield block

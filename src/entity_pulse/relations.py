@@ -23,11 +23,15 @@ then co-entity id ascending.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .corpus import csv_line
-from .index import _CO, _TC, EntityIndex
+from .index import _CO, _TC, EntityIndex, _check_delta
 from .timeline import Period
+
+_co_entity = itemgetter(0)  # of a co-occurrence triple
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,10 +54,13 @@ def direct_connectedness(index: EntityIndex, entity: str, other: str,
     raw = index.posting_counts(entity, period)
     if raw is None:
         return None
-    oid = index.entity_id_of(other)
-    pair = None if oid is None else raw[_CO].get(oid)
-    shared = 0 if pair is None else pair[0]
-    return shared / raw[_TC]
+    return _shared_texts(raw[_CO], index.entity_id_of(other)) / raw[_TC]
+
+
+def _shared_texts(co, oid: int | None) -> int:
+    """Entity ``oid``'s shared-text count in the triples ``co``, or 0."""
+    i = len(co) if oid is None else bisect_left(co, oid, key=_co_entity)
+    return co[i][1] if i < len(co) and co[i][0] == oid else 0
 
 
 def indirect_connectedness(index: EntityIndex, entity: str, other: str,
@@ -71,15 +78,18 @@ def indirect_connectedness(index: EntityIndex, entity: str, other: str,
         return None
     other_raw = index.posting_counts(other, period)
     eid, oid = index.entity_id_of(entity), index.entity_id_of(other)
-    # A neighborhood is the co-occurring entities plus the entity itself.
-    mine = raw[_CO].keys() | {eid}
-    theirs = set() if other_raw is None else other_raw[_CO].keys() | {oid}
-    if not include_self:
-        mine -= {eid, oid}
-        theirs -= {eid, oid}
-    if not mine:
-        return None
-    return len(mine & theirs) / len(mine)
+    # A neighborhood is the co-entities plus the entity itself, and no
+    # entity is its own co-entity.
+    mine = set(map(_co_entity, raw[_CO]))
+    theirs = () if other_raw is None else other_raw[_CO]
+    shared = len(mine.intersection(map(_co_entity, theirs)))
+    if include_self:  # entity joins mine and, if it has texts, other theirs
+        size = len(mine) + 1
+        if other_raw is not None:
+            shared += (oid in mine) + (_shared_texts(theirs, eid) > 0)
+    else:  # other leaves mine and entity leaves theirs
+        size = len(mine) - (oid in mine)
+    return shared / size if size else None
 
 
 def connectedness_to_set(index: EntityIndex, entity: str, others, period: Period
@@ -90,17 +100,18 @@ def connectedness_to_set(index: EntityIndex, entity: str, others, period: Period
         raise ValueError("target set must be non-empty")
     if entity in targets:
         raise ValueError("target set must not contain the query entity")
-    scores = [direct_connectedness(index, entity, o, period) for o in targets]
-    if any(s is None for s in scores):
+    raw = index.posting_counts(entity, period)
+    if raw is None:
         return None
+    scores = [_shared_texts(raw[_CO], index.entity_id_of(o)) / raw[_TC]
+              for o in targets]
     return sum(scores) / len(scores)
 
 
-def _ranked(index: EntityIndex, entity: str, raw,
-            candidates: list[tuple[int, int]], k: int) -> list:
+def _ranked(index: EntityIndex, entity: str, raw, triples, k: int) -> list:
     names = index.entities
     tc = raw[_TC]
-    scored = [(cnt / tc, cnt, names[eid]) for eid, cnt in candidates]
+    scored = [(cnt / tc, cnt, names[eid]) for eid, cnt, _ in triples]
     scored.sort(key=lambda t: (-t[0], -t[1], t[2]))
     return [(name, score, cnt) for score, cnt, name in scored[:k]]
 
@@ -118,9 +129,8 @@ def k_network(index: EntityIndex, entity: str, period: Period,
     raw = index.posting_counts(entity, period)
     if raw is None:
         return RankedNetwork(entity, period, "plain", None, ())
-    candidates = [(eid, cnt) for eid, (cnt, _) in raw[_CO].items()]
     return RankedNetwork(entity, period, "plain", None,
-                         tuple(_ranked(index, entity, raw, candidates, k)))
+                         tuple(_ranked(index, entity, raw, raw[_CO], k)))
 
 
 def signed_k_network(index: EntityIndex, entity: str, period: Period, k: int,
@@ -137,23 +147,19 @@ def signed_k_network(index: EntityIndex, entity: str, period: Period, k: int,
         raise ValueError(f"k must be >= 1, got {k}")
     if sign not in ("positive", "negative"):
         raise ValueError(f"sign must be 'positive' or 'negative', got {sign!r}")
-    if not (0.0 <= delta <= 4.0):
-        raise ValueError(f"delta must be in [0, 4], got {delta}")
+    _check_delta(delta)
     if min_support < 1:
         raise ValueError(f"min_support must be >= 1, got {min_support}")
     raw = index.posting_counts(entity, period)
     if raw is None:
         return RankedNetwork(entity, period, sign, delta, ())
     candidates = []
-    for eid, (cnt, att_sum) in raw[_CO].items():
-        if cnt < min_support:
-            continue
+    for rec in raw[_CO]:
+        _, cnt, att_sum = rec
         mean = att_sum / cnt
-        if sign == "positive":
-            if mean >= delta:
-                candidates.append((eid, cnt))
-        elif mean <= -delta and mean != 0.0:
-            candidates.append((eid, cnt))
+        if cnt >= min_support and (mean >= delta if sign == "positive" else
+                                   mean <= -delta and mean != 0.0):
+            candidates.append(rec)
     return RankedNetwork(entity, period, sign, delta,
                          tuple(_ranked(index, entity, raw, candidates, k)))
 

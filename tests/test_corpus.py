@@ -121,8 +121,9 @@ _opaque_ids = st.text(
     min_size=1, max_size=12)
 _confidences = st.floats(allow_nan=False, allow_infinity=False,
                          min_value=-50, max_value=50)
-_timestamps = st.datetimes(min_value=datetime(2000, 1, 1),
-                           max_value=datetime(2050, 1, 1)).map(
+# Every year the row format takes, including those below 1000.
+_timestamps = st.datetimes(min_value=datetime(1, 1, 1),
+                           max_value=datetime(9998, 12, 31, 23, 59, 59)).map(
     lambda d: d.replace(tzinfo=UTC, microsecond=0))
 
 

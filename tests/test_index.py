@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import os
 import random
 import struct
+import sys
 import tracemalloc
 import zlib
 from datetime import date, datetime, timezone
@@ -196,7 +198,7 @@ def assert_users_match_oracle(rows):
 
 class TestSmallGroups:
     """A posting holds its first user as an id and takes a set only at its
-    second distinct user; one without co-entities shares one empty map."""
+    second distinct user; one without co-entities holds ``()``."""
 
     def test_one_user_many_texts_counts_one(self):
         idx = assert_users_match_oracle(user_rows(*[("u1", "A")] * 6))
@@ -227,19 +229,15 @@ class TestSmallGroups:
         assert (p.text_count, p.user_count) == (1001, 401)
         assert idx.slice_counts(month(2015, 7)) == (1001, 401)
 
-    def test_postings_without_co_entities_share_a_read_only_map(
-            self, tmp_path):
+    def test_postings_without_co_entities_hold_no_triples(self, tmp_path):
         rows = user_rows(("u1", "A"), ("u2", "B"), ("u1", "CD"))
         idx = build(make_corpus(rows))
         path = tmp_path / "idx.epx"
         ep.save(idx, path)
         with ep.load(path) as loaded:
-            maps = [ix.posting_counts(e, month(2015, 7))[-1]
-                    for ix in (idx, loaded) for e in "AB"]
-            assert all(m is maps[0] for m in maps)
-            assert len(maps[0]) == 0
-            with pytest.raises(TypeError):
-                maps[0]["C"] = (1, 2)
+            for ix in (idx, loaded):
+                assert [ix.posting_counts(e, month(2015, 7))[-1]
+                        for e in "ABC"] == [(), (), ((3, 1, 2),)]
             assert loaded.posting("C", month(2015, 7)).cooccur == \
                 {"D": (1, 2)}
             assert loaded.dump() == idx.dump()
@@ -352,7 +350,7 @@ def every_answer(index) -> list:
                         measures.ranked_periods_json_records(ranked, index)]
         others = [o for o in names if o != e]
         for p in periods:
-            out += [index.posting(e, p), index.period_slice(p),
+            out += [index.posting(e, p), index.slice_counts(p),
                     ep.connectedness_to_set(index, e, others[:3], p)]
             for net in (ep.k_network(index, e, p, 3),
                         ep.signed_k_network(index, e, p, 3, "positive", 1.0),
@@ -647,3 +645,20 @@ class TestOpenFile:
         idx.close()
         assert idx.entity_postings(last)
 
+    @pytest.mark.skipif(sys.implementation.name != "cpython",
+                        reason="tuple untracking is CPython's")
+    def test_the_collector_stops_tracking_postings(self, tmp_path):
+        # A stored posting holds only ints and tuples of ints, so full
+        # collections stop walking a built or decoded index. Each one
+        # untracks one level of nesting, the triples first, then the
+        # co-occurrence tuples, then the postings.
+        idx, path = saved_index(tmp_path)
+        with ep.load(path) as loaded:
+            for ix in (idx, loaded):
+                postings = [p for e in ix.entities
+                            for p in ix.entity_postings(e).values()]
+                assert len(postings) == idx.posting_count()
+                assert sum(len(p[-1]) for p in postings) > 0
+                for _ in range(3):
+                    gc.collect()
+                assert not any(map(gc.is_tracked, postings))

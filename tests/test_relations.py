@@ -5,7 +5,8 @@ from entity_pulse.relations import (network_csv_rows, network_edge_rows,
                                     network_json_records)
 
 import oracle
-from helpers import build_random_corpus, make_corpus, month, phi_row, row
+from helpers import (build_random_corpus, make_corpus, month, phi_row,
+                     records_of, row)
 
 JULY = month(2015, 7)
 
@@ -43,6 +44,27 @@ class TestDirectConnectedness:
     def test_containment_is_one(self):
         idx = monthly(shared_corpus(n_x=5, shared=5))
         assert ep.direct_connectedness(idx, "X", "Y", JULY) == 1.0
+
+    @pytest.mark.parametrize("other", ["D", "M", "E", "ghost"])
+    def test_last_and_absent_co_entities_match_oracle(self, other):
+        # X co-occurs with B, C and D, in id order, D last. M and E never
+        # share a text with X; M's id falls between C's and D's, E's after
+        # them all. "ghost" is unknown.
+        rows = [row("t1", "u1", "2015-07-01T00:00:00Z",
+                    [("X", 1.0), ("B", 1.0), ("C", 1.0)], 2, -1),
+                row("t2", "u3", "2015-07-02T00:00:00Z", [("M", 1.0)], 1, -2),
+                row("t3", "u2", "2015-07-03T00:00:00Z",
+                    [("X", 1.0), ("D", 1.0)], 3, -1),
+                row("t4", "u2", "2015-07-04T00:00:00Z", [("X", 1.0)], 1, -1),
+                row("t5", "u3", "2015-07-05T00:00:00Z", [("E", 1.0)], 1, -2)]
+        idx = monthly(rows)
+        assert idx.entities == ["X", "B", "C", "M", "D", "E"]
+        assert [e for e, _, _ in idx.posting_counts("X", JULY)[-1]] == \
+            [1, 2, 4]
+        got = ep.direct_connectedness(idx, "X", other, JULY)
+        assert got == oracle.direct_connectedness(records_of(rows), "X",
+                                                  other, JULY)
+        assert got == (1 / 3 if other == "D" else 0.0)
 
     def test_null_without_mentions(self):
         idx = monthly(shared_corpus())
@@ -309,10 +331,11 @@ class TestOracleEquivalence:
                     assert ep.direct_connectedness(idx, entity, other, period) \
                         == oracle.direct_connectedness(records, entity, other,
                                                        period)
-                    assert ep.indirect_connectedness(idx, entity, other,
-                                                     period) \
-                        == oracle.indirect_connectedness(records, entity,
-                                                         other, period)
+                    for own in (False, True):
+                        assert ep.indirect_connectedness(
+                            idx, entity, other, period, include_self=own) \
+                            == oracle.indirect_connectedness(
+                                records, entity, other, period, own)
 
     def test_network_subset_argmax(self):
         records, corpus, _ = build_random_corpus(82, 300, max_entities=7)
