@@ -5,10 +5,12 @@ connectedness, network, generate. Query outputs are CSV data rows (no
 header; column orders are given by the ``*_csv_rows`` docstrings in
 ``measures`` and ``relations``, and connectedness rows are
 ``entity,other,period_start,period_end,kind,value``) or JSON lines;
-diagnostics go to stderr as JSON lines. File outputs are written
-atomically via a temp file and rename. Exit codes: 0 success, 1 runtime
-failure, 2 usage error. An unknown entity is an answer (empty/zero
-output), not an error.
+diagnostics go to stderr as JSON lines. JSON and CSV files are read, and
+every file written, through ``corpus``'s file helpers, so outputs are
+written atomically via a temp file and rename. Exit codes: 0 success, 1
+runtime failure, 2 usage error. Every runtime failure leaves through the
+one ``except`` in ``main``, as one JSON ``error`` line. An unknown entity
+is an answer (empty/zero output), not an error.
 
 Every subcommand accepts ``--config FILE`` with a JSON object of option
 defaults (keys match option names with dashes as underscores, so
@@ -27,7 +29,6 @@ import argparse
 import json
 import sys
 from collections import Counter, deque
-from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import index as index_mod
@@ -54,21 +55,11 @@ def _diag(payload: dict) -> None:
     print(json.dumps(payload), file=sys.stderr)
 
 
-class CliError(Exception):
-    pass
-
-
-def _write_file(path: str, body: str) -> None:
-    with corpus_mod.write_atomic(path) as fh:
-        fh.write(body)
-
-
 def _emit(args, rows: list[str]) -> None:
-    body = "\n".join(rows) + ("\n" if rows else "")
     if args.output:
-        _write_file(args.output, body)
+        corpus_mod.write_lines(args.output, rows)
     else:
-        sys.stdout.write(body)
+        sys.stdout.write("\n".join(rows) + ("\n" if rows else ""))
 
 
 def _by_reason(rejections) -> dict[str, int]:
@@ -90,15 +81,12 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
                   required: tuple[str, ...]) -> argparse.Namespace:
     config = {}
     if args.config:
-        try:
-            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot read config {args.config}: {exc}") from exc
+        config = corpus_mod.read_json(args.config, "config")
         if not isinstance(config, dict):
-            raise CliError("config file must hold a JSON object")
+            raise ValueError("config file must hold a JSON object")
         for key in config:
             if key not in args.config_keys:
-                raise CliError(f"config {key}: unknown option")
+                raise ValueError(f"config {key}: unknown option")
     options = _options(parser)
     for key, action in options.items():
         if getattr(args, action.dest) is None:
@@ -116,7 +104,7 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
 
 def _config_value(key: str, action: argparse.Action, value):
     """A config file's ``value`` for ``action``'s option, held to what the
-    command line accepts there; raises CliError naming the ``key``."""
+    command line accepts there; raises ValueError naming the ``key``."""
     if action.nargs == 0:  # a store_true flag
         ok, kind = isinstance(value, bool), "true or false"
     elif action.type is int:
@@ -130,15 +118,8 @@ def _config_value(key: str, action: argparse.Action, value):
         ok = ok and value in action.choices
         kind += f" in {list(action.choices)}"
     if not ok:
-        raise CliError(f"config {key}: expected {kind}, got {value!r}")
+        raise ValueError(f"config {key}: expected {kind}, got {value!r}")
     return value
-
-
-def _load_index(args) -> index_mod.EntityIndex:
-    try:
-        return index_mod.load(args.index)
-    except index_mod.IndexFormatError as exc:
-        raise CliError(str(exc)) from exc
 
 
 def _granularity(args, index=None) -> Granularity:
@@ -148,8 +129,8 @@ def _granularity(args, index=None) -> Granularity:
         return Granularity.MONTH if index is None else index.granularity
     g = Granularity.parse(args.granularity)
     if index is not None and g is not index.granularity:
-        raise CliError(f"index granularity is {index.granularity.value}, "
-                       f"queried {g.value}")
+        raise ValueError(f"index granularity is {index.granularity.value}, "
+                         f"queried {g.value}")
     return g
 
 
@@ -225,18 +206,15 @@ def _cmd_index(args, parser):
 
 def _cmd_inspect(args, parser):
     _merge_config(args, parser, ("index",))
-    try:
-        print(json.dumps(index_mod.inspect_file(args.index,
-                                                verify=bool(args.verify)),
-                         indent=2))
-    except index_mod.IndexFormatError as exc:
-        raise CliError(str(exc)) from exc
+    print(json.dumps(index_mod.inspect_file(args.index,
+                                            verify=bool(args.verify)),
+                     indent=2))
     return 0
 
 
 def _cmd_series(args, parser):
     _merge_config(args, parser, ("index", "entity", "measure", "from", "to"))
-    index = _load_index(args)
+    index = index_mod.load(args.index)
     _granularity(args, index)
     _warn_unknown_entity(index, args.entity)
     window = parse_window(args.from_, args.to, index.granularity)
@@ -252,7 +230,7 @@ def _cmd_series(args, parser):
 
 def _cmd_topk(args, parser):
     _merge_config(args, parser, ("index", "entity", "measure", "from", "to"))
-    index = _load_index(args)
+    index = index_mod.load(args.index)
     _granularity(args, index)
     _warn_unknown_entity(index, args.entity)
     window = parse_window(args.from_, args.to, index.granularity)
@@ -269,15 +247,14 @@ def _cmd_topk(args, parser):
 
 def _cmd_connectedness(args, parser):
     _merge_config(args, parser, ("index", "entity", "other", "from", "to"))
-    index = _load_index(args)
+    index = index_mod.load(args.index)
     _granularity(args, index)
     others = [o for o in args.other.split(",") if o]
     if not others:
         parser.error("--other must name at least one entity")
     _warn_unknown_entity(index, args.entity, *others)
     window = parse_window(args.from_, args.to, index.granularity)
-    rows: list[str] = []
-    records: list[dict] = []
+    rows: list[str] = []  # rendered as built: no list of records is held
     for period in enumerate_periods(window[0], window[1], index.granularity):
         if len(others) > 1:
             pairs = [("set", relations_mod.connectedness_to_set(
@@ -295,24 +272,19 @@ def _cmd_connectedness(args, parser):
                                   index, args.entity, target, period,
                                   include_self=bool(args.include_self))))
         for kind, value in pairs:
-            if args.format == "json":
-                records.append({
-                    "entity": args.entity, "other": target,
-                    "period_start": period.start_date.isoformat(),
-                    "period_end": period.end_date.isoformat(),
-                    "kind": kind, "value": value})
-            else:
-                rows.append(corpus_mod.csv_line(
-                    [args.entity, target, period.start_date.isoformat(),
-                     period.end_date.isoformat(), kind,
-                     "" if value is None else repr(value)]))
-    _emit(args, _json_lines(records) if args.format == "json" else rows)
+            record = {"entity": args.entity, "other": target,
+                      "period_start": period.start_date.isoformat(),
+                      "period_end": period.end_date.isoformat(),
+                      "kind": kind, "value": value}
+            rows.append(json.dumps(record) if args.format == "json"
+                        else corpus_mod.csv_line(record.values()))
+    _emit(args, rows)
     return 0
 
 
 def _cmd_network(args, parser):
     _merge_config(args, parser, ("index", "entity", "period"))
-    index = _load_index(args)
+    index = index_mod.load(args.index)
     _warn_unknown_entity(index, args.entity)
     period = parse_period_token(args.period, index.granularity)
     if args.variant == "plain":
@@ -322,9 +294,8 @@ def _cmd_network(args, parser):
             index, args.entity, period, args.k, args.variant, args.delta,
             args.min_support)
     if args.graph_output:
-        edges = relations_mod.network_edge_rows(network)
-        _write_file(args.graph_output,
-                    "\n".join(edges) + ("\n" if edges else ""))
+        corpus_mod.write_lines(args.graph_output,
+                               relations_mod.network_edge_rows(network))
     if args.format == "json":
         rows = _json_lines(relations_mod.network_json_records(network))
     else:
@@ -335,11 +306,8 @@ def _cmd_network(args, parser):
 
 def _cmd_generate(args, parser):
     _merge_config(args, parser, ("spec", "output"))
-    try:
-        manifest = synth_mod.write_corpus(synth_mod.load_scenario(args.spec),
-                                          args.output, args.manifest or None)
-    except synth_mod.ScenarioError as exc:
-        raise CliError(str(exc)) from exc
+    manifest = synth_mod.write_corpus(synth_mod.load_scenario(args.spec),
+                                      args.output, args.manifest or None)
     print(json.dumps({"rows": manifest["rows"],
                       "spam_rows": manifest["spam_rows"]}))
     return 0
@@ -475,11 +443,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args, args.subparser)
-    except CliError as exc:
-        _diag({"error": str(exc)})
-        return 1
-    except (corpus_mod.IngestError, index_mod.IndexFormatError,
-            synth_mod.ScenarioError, ValueError, OSError) as exc:
+    except (ValueError, OSError, corpus_mod.IngestError,
+            index_mod.IndexFormatError) as exc:
         _diag({"error": str(exc)})
         return 1
 

@@ -20,6 +20,11 @@ Malformed rows never abort ingestion: each yields a :class:`Rejection` with
 the row number and a stable reason string, accumulated on the corpus. NUL
 characters are not representable in the row format; rows containing them
 are rejected wholesale.
+
+The package reads JSON and CSV, and writes files, only through this
+module: :func:`read_json` (config, scenario, spam model; ValueError),
+:func:`csv_rows` (any CSV source; :class:`IngestError`), :func:`csv_line`,
+and :func:`write_lines` and :func:`write_atomic` (atomic writes).
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from __future__ import annotations
 import csv
 import gzip
 import io
+import json
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
@@ -100,8 +106,9 @@ class CorpusStats:
     time_span: tuple[datetime, datetime] | None
 
 
-def csv_line(fields: list) -> str:
-    """One RFC-4180 row without the terminator.
+def csv_line(fields: Iterable) -> str:
+    """One RFC-4180 row without the terminator. ``None`` is written as an
+    empty field and a float by its ``repr``.
 
     The writer must see a real line terminator, otherwise fields containing
     bare CR/LF would not get quoted; the terminator is sliced off after.
@@ -260,22 +267,27 @@ class Corpus:
         self._min_ts: datetime | None = None
         self._max_ts: datetime | None = None
 
-    def _accept(self, parsed: Iterable[tuple],
-                min_confidence: float | None) -> Iterator[Row]:
-        """Dedupe, filter and intern validated rows; yield them compact.
+    def _accept(self, source, min_confidence: float | None) -> Iterator[Row]:
+        """Validate, dedupe, filter and intern the rows of ``source``; yield
+        them compact.
 
-        ``parsed`` yields ``(row, (text_id, user_id, ts, mentions, pos, neg,
-        text))``. The first row with a text id wins and later ones become
-        duplicate-id rejections. Mentions below ``min_confidence`` are
-        dropped, ids are interned in first-seen order, and the record count
-        and time span advance; the rows themselves are not stored here.
-        The set of seen text ids lives only as long as the scan does.
+        Each invalid row becomes a rejection. The first row with a text id
+        wins and later ones become duplicate-id rejections. Mentions below
+        ``min_confidence`` are dropped, ids are interned in first-seen
+        order, and the record count and time span advance; the rows
+        themselves are not stored here. The set of seen text ids lives only
+        as long as the scan does.
         """
+        decoded: dict[str, str] = {}
         text_ids: set[str] = set()
         entity_ids, entities = self._entity_ids, self.entities
         user_ids, users = self._user_ids, self.users
-        for row_no, (text_id, user_id, ts, mentions, pos, neg,
-                     text) in parsed:
+        for row_no, fields in csv_rows(source):
+            parsed = _convert(fields, decoded)
+            if isinstance(parsed, str):
+                self.rejections.append(Rejection(row_no, parsed))
+                continue
+            text_id, user_id, ts, mentions, pos, neg, text = parsed
             if text_id in text_ids:
                 self.rejections.append(Rejection(row_no, REASON_DUPLICATE_ID))
                 continue
@@ -322,42 +334,34 @@ class Corpus:
         return map(self._record, self._rows)
 
 
-def _open_source(source) -> tuple[Iterable[str], bool]:
-    if isinstance(source, (str, Path)):
+def csv_rows(source) -> Iterator[tuple[int, list[str]]]:
+    """``(row, fields)`` for each non-blank CSV row of ``source``, numbered
+    from 1 with blank rows counted.
+
+    ``source`` is a path (``.gz`` decompressed transparently), an open text
+    stream, or an iterable of lines. A source that cannot be opened or read
+    as UTF-8 CSV raises :class:`IngestError` carrying the position reached.
+    """
+    owned = isinstance(source, (str, Path))
+    if owned:
         path = os.fspath(source)
+        opener = gzip.open if path.endswith(".gz") else open
         try:
-            if path.endswith(".gz"):
-                return gzip.open(path, "rt", encoding="utf-8", newline=""), True
-            return open(path, "r", encoding="utf-8", newline=""), True
+            source = opener(path, "rt", encoding="utf-8", newline="")
         except OSError as exc:
             raise IngestError(f"cannot open {path}: {exc}") from exc
-    return source, False
-
-
-def _validated(source, rejections: list[Rejection]
-               ) -> Iterator[tuple[int, tuple]]:
-    """``(row, parsed)`` for each valid row of ``source``; each invalid row
-    is appended to ``rejections`` instead. Blank lines are skipped."""
-    stream, owned = _open_source(source)
     row_no = 0
-    decoded: dict[str, str] = {}
     try:
-        try:
-            for fields in csv.reader(stream):
-                row_no += 1
-                if not fields:
-                    continue
-                parsed = _convert(fields, decoded)
-                if isinstance(parsed, str):
-                    rejections.append(Rejection(row_no, parsed))
-                else:
-                    yield row_no, parsed
-        except (OSError, UnicodeDecodeError, csv.Error) as exc:
-            raise IngestError(f"unreadable source after row {row_no}: {exc}"
-                              ) from exc
+        for fields in csv.reader(source):
+            row_no += 1
+            if fields:
+                yield row_no, fields
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise IngestError(f"unreadable source after row {row_no}: {exc}"
+                          ) from exc
     finally:
         if owned:
-            stream.close()
+            source.close()
 
 
 def scan(source, min_confidence: float | None = None
@@ -370,20 +374,18 @@ def scan(source, min_confidence: float | None = None
     into something else never holds the whole archive.
     """
     corpus = Corpus()
-    return corpus, corpus._accept(_validated(source, corpus.rejections),
-                                  min_confidence)
+    return corpus, corpus._accept(source, min_confidence)
 
 
 def ingest(source, min_confidence: float | None = None
            ) -> tuple[Corpus, CorpusStats]:
-    """Read rows from ``source`` into an immutable corpus handle, which
-    keeps the accepted rows in time order.
+    """Read rows from ``source``, anything :func:`csv_rows` reads, into an
+    immutable corpus handle, which keeps the accepted rows in time order.
 
-    ``source`` is a path (``.gz`` decompressed transparently), an open text
-    stream, or an iterable of lines. Mentions with confidence strictly below
-    ``min_confidence`` are dropped while the record is kept. Malformed rows
-    accumulate as rejections and never abort; an unreadable source raises
-    :class:`IngestError` carrying the position reached.
+    Mentions with confidence strictly below ``min_confidence`` are dropped
+    while the record is kept. Malformed rows accumulate as rejections and
+    never abort; an unreadable source raises :class:`IngestError` carrying
+    the position reached.
     """
     corpus, rows = scan(source, min_confidence)
     corpus._rows = sorted(rows, key=_by_time)
@@ -422,6 +424,27 @@ def write_atomic(path, binary: bool = False):
         raise
 
 
+def read_json(path, what: str):
+    """The JSON value held in the file at ``path``.
+
+    A file that cannot be read, is not UTF-8 JSON, or nests deeper than the
+    decoder's recursion limit raises ValueError naming ``what`` and ``path``.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ValueError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def write_lines(path, lines: Iterable[str]) -> None:
+    """Each of ``lines`` and a newline after it, written atomically to
+    ``path``."""
+    with write_atomic(path) as fh:
+        for line in lines:
+            fh.write(line + "\n")
+
+
 def write_records(corpus: Corpus, rows: Iterable[Row], path) -> None:
     """Canonical CSV of ``rows``, compact rows interned by ``corpus`` (as
     :func:`scan` yields them), one line per record in time order.
@@ -430,16 +453,11 @@ def write_records(corpus: Corpus, rows: Iterable[Row], path) -> None:
     """
     rows = sorted(rows, key=_by_time)  # a scan interns as it is read
     escaped = [_escape_entity(e) for e in corpus.entities]
-    with write_atomic(path) as fh:
-        for row in rows:
-            fh.write(_record_line(row[0], corpus.users[row[1]], row[2],
-                                  [(escaped[e], c) for e, c in row[3]],
-                                  row[4], row[5], row[8]) + "\n")
+    write_lines(path, (_record_line(row[0], corpus.users[row[1]], row[2],
+                                    [(escaped[e], c) for e, c in row[3]],
+                                    row[4], row[5], row[8]) for row in rows))
 
 
 def write_rejections(rejections: Iterable[Rejection], path) -> None:
     """Side report CSV with one ``row,reason`` line per rejection."""
-    with write_atomic(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        for r in rejections:
-            w.writerow([r.row, r.reason])
+    write_lines(path, (csv_line([r.row, r.reason]) for r in rejections))

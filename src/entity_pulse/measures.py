@@ -166,7 +166,7 @@ def series_csv_rows(points: list[MeasurePoint], measure: str) -> list[str]:
     """CSV rows ``entity,period_start,period_end,measure,value,support``."""
     return [csv_line([p.entity_id, p.period.start_date.isoformat(),
                       p.period.end_date.isoformat(), measure,
-                      "" if p.value is None else repr(p.value), p.support])
+                      p.value, p.support])
             for p in points]
 
 
@@ -191,7 +191,7 @@ def ranked_periods_csv_rows(ranked: RankedPeriods,
     """CSV rows ``rank,entity,period_start,period_end,measure,value,support``."""
     return [csv_line([rank, ranked.entity_id, period.start_date.isoformat(),
                       period.end_date.isoformat(), ranked.measure,
-                      repr(value), support])
+                      value, support])
             for rank, period, value, support in _ranked(ranked, index)]
 
 

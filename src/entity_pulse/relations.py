@@ -168,7 +168,7 @@ def signed_k_network(index: EntityIndex, entity: str, period: Period, k: int,
 
 def network_csv_rows(network: RankedNetwork) -> list[str]:
     """CSV rows ``rank,entity,score,support``."""
-    return [csv_line([rank, name, repr(score), cnt])
+    return [csv_line([rank, name, score, cnt])
             for rank, (name, score, cnt) in enumerate(network.entries, 1)]
 
 
@@ -186,5 +186,5 @@ def network_json_records(network: RankedNetwork) -> list[dict]:
 
 def network_edge_rows(network: RankedNetwork) -> list[str]:
     """Graph dump rows ``source,target,score,support`` for external plotting."""
-    return [csv_line([network.entity_id, name, repr(score), cnt])
+    return [csv_line([network.entity_id, name, score, cnt])
             for name, score, cnt in network.entries]

@@ -17,10 +17,9 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
-from .corpus import Row, write_atomic
+from .corpus import Row, csv_rows, read_json, write_atomic
 
 CLASSES = ("spam", "ham")
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -42,8 +41,8 @@ class NBModel:
 
 def train(labeled, alpha: float = 1.0) -> NBModel:
     """Fit the classifier on ``(text, label)`` pairs with labels spam/ham."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if not 0 < alpha < math.inf:  # NaN too: a saved model must load
+        raise ValueError(f"alpha must be a finite number > 0, got {alpha}")
     doc_counts = {c: 0 for c in CLASSES}
     token_counts: dict[str, dict[str, int]] = {c: {} for c in CLASSES}
     for text, label in labeled:
@@ -134,10 +133,7 @@ def save_model(model: NBModel, path) -> None:
 def load_model(path) -> NBModel:
     """Read a model written by :func:`save_model`; a file that is not one
     raises ValueError, naming the first missing or ill-typed key."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"cannot load model from {path}: {exc}") from exc
+    doc = read_json(path, "model")
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a {MODEL_FORMAT} model file: {path}")
     if doc.get("version") != MODEL_VERSION:
@@ -173,17 +169,16 @@ def _per_class(doc: dict, key: str, valid) -> dict:
     return value
 
 
-def read_labeled_csv(path) -> list[tuple[str, str]]:
-    """Training input ``label,text`` rows as (text, label) pairs."""
-    import csv
+def read_labeled_csv(source) -> list[tuple[str, str]]:
+    """Training input ``label,text`` rows as (text, label) pairs.
 
+    ``source`` is anything :func:`corpus.csv_rows` reads: a path (a ``.gz``
+    file is decompressed), an open text stream, or an iterable of lines.
+    """
     out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row_no, fields in enumerate(csv.reader(fh), start=1):
-            if not fields:
-                continue
-            if len(fields) != 2:
-                raise ValueError(f"row {row_no}: expected label,text")
-            label, text = fields
-            out.append((text, label))
+    for row_no, fields in csv_rows(source):
+        if len(fields) != 2:
+            raise ValueError(f"row {row_no}: expected label,text")
+        label, text = fields
+        out.append((text, label))
     return out

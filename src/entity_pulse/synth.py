@@ -25,19 +25,22 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from pathlib import Path
 
-from .corpus import _escape_entity, csv_line, write_atomic
+from .corpus import _escape_entity, _record_line, read_json, write_lines
 from .timeline import (Granularity, Period, enumerate_periods,
                        parse_period_token)
 
 _M64 = (1 << 64) - 1
 
-# Most texts a scenario may plan for one (entity, period): its rate times
-# the product of its popularity-spike factors. generate() holds every row
-# in memory, so a larger plan could only exhaust memory (or, past float
-# range, fail outright); scenario_from_json rejects it instead.
+# Most texts a scenario may plan for one (entity, period), its rate times
+# the product of its popularity-spike factors, and for one event's
+# ``texts``. generate() holds every row in memory, so a larger plan could
+# only exhaust memory (or, past float range, fail outright);
+# scenario_from_json rejects it instead.
 MAX_PLANNED_TEXTS = 1_000_000
+
+# Share of spam documents generate_labeled_docs draws.
+_SPAM_FRACTION = 0.5
 
 EVENT_KINDS = ("popularity-spike", "controversy-burst", "pair-link",
                "signed-pair", "spam-block")
@@ -105,10 +108,14 @@ def _err(path: str, message: str) -> ScenarioError:
     return ScenarioError(f"{path}: {message}")
 
 
-def _require_int(doc: dict, path: str, key: str, minimum: int) -> int:
+def _require_int(doc: dict, path: str, key: str, minimum: int,
+                 maximum: int | None = None) -> int:
     v = doc.get(key)
-    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-        raise _err(f"{path}.{key}", f"must be an integer >= {minimum}")
+    if (not isinstance(v, int) or isinstance(v, bool) or v < minimum
+            or maximum is not None and v > maximum):
+        bound = (f">= {minimum}" if maximum is None
+                 else f"in [{minimum}, {maximum}]")
+        raise _err(f"{path}.{key}", f"must be an integer {bound}")
     return v
 
 
@@ -144,24 +151,21 @@ def _validate_event(ev: dict, i: int, periods: list[Period],
                 or not 1 <= factor < math.inf):
             raise _err(f"{path}.factor", "must be a number >= 1")
         out["factor"] = factor
-    elif kind == "controversy-burst":
+        return out
+    if kind == "controversy-burst":
         out["entity"] = _require_str(ev, path, "entity")
-        out["texts"] = _require_int(ev, path, "texts", 1)
     elif kind in ("pair-link", "signed-pair"):
         out["a"] = _require_str(ev, path, "a")
         out["b"] = _require_str(ev, path, "b")
         if out["a"] == out["b"]:
             raise _err(f"{path}.b", "pair endpoints must differ")
-        out["texts"] = _require_int(ev, path, "texts", 1)
-        if kind == "signed-pair":
-            att = ev.get("attitude")
-            if not isinstance(att, int) or isinstance(att, bool) \
-                    or not -4 <= att <= 4:
-                raise _err(f"{path}.attitude",
-                           "must be an integer in [-4, 4]")
-            out["attitude"] = att
-    else:  # spam-block
-        out["texts"] = _require_int(ev, path, "texts", 1)
+    out["texts"] = _require_int(ev, path, "texts", 1, MAX_PLANNED_TEXTS)
+    if kind == "signed-pair":
+        att = ev.get("attitude")
+        if not isinstance(att, int) or isinstance(att, bool) \
+                or not -4 <= att <= 4:
+            raise _err(f"{path}.attitude", "must be an integer in [-4, 4]")
+        out["attitude"] = att
     return out
 
 
@@ -258,9 +262,9 @@ def scenario_from_json(doc: dict) -> ScenarioSpec:
 
 def load_scenario(path) -> ScenarioSpec:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ScenarioError(f"scenario: cannot read {path}: {exc}") from exc
+        doc = read_json(path, "scenario")
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
     return scenario_from_json(doc)
 
 
@@ -313,25 +317,17 @@ class _Emitter:
         user = f"u{rng.below(self.spec.users):05d}"
         span = int((period.end - period.start).total_seconds())
         ts = period.start + timedelta(seconds=rng.below(span))
-        stamp = ts.strftime("%Y-%m-%dT%H:%M:%SZ")
         if phi is None:
             phi = _draw_attitude(rng)
         pos, neg = _scores_for(phi)
-        parts = []
-        for m in mentions:
-            conf = round(-5.0 + 8.0 * rng.uniform(), 3)
-            parts.append(f"{_escape_entity(m)}:{conf}")
-        fields = [f"t{self.counter:08d}", user, stamp, ";".join(parts),
-                  str(pos), str(neg)]
+        parts = [(_escape_entity(m), round(-5.0 + 8.0 * rng.uniform(), 3))
+                 for m in mentions]
+        text = None
         if self.with_text:
-            if text_kind == "spam":
-                fields.append(self._spam_text())
-            else:
-                fields.append(_phrase(rng, self.ham_pool))
-        self.rows.append(csv_line(fields))
-
-    def _spam_text(self) -> str:
-        return _phrase(self.rng, self.spam_pool)
+            text = _phrase(rng, self.spam_pool if text_kind == "spam"
+                           else self.ham_pool)
+        self.rows.append(_record_line(f"t{self.counter:08d}", user, ts, parts,
+                                      pos, neg, text))
 
 
 def generate(spec: ScenarioSpec) -> tuple[list[str], dict]:
@@ -413,16 +409,13 @@ def generate(spec: ScenarioSpec) -> tuple[list[str], dict]:
 def write_corpus(spec: ScenarioSpec, corpus_path, manifest_path=None) -> dict:
     """Write rows (and optionally the manifest) to disk; returns the manifest."""
     rows, manifest = generate(spec)
-    with write_atomic(corpus_path) as fh:
-        fh.write("\n".join(rows) + ("\n" if rows else ""))
+    write_lines(corpus_path, rows)
     if manifest_path is not None:
-        with write_atomic(manifest_path) as fh:
-            fh.write(json.dumps(manifest, indent=2) + "\n")
+        write_lines(manifest_path, [json.dumps(manifest, indent=2)])
     return manifest
 
 
-def generate_labeled_docs(n_docs: int, overlap: float, seed: int,
-                          spam_fraction: float = 0.5
+def generate_labeled_docs(n_docs: int, overlap: float, seed: int
                           ) -> list[tuple[str, str]]:
     """Deterministic ``(text, label)`` training corpus for the spam filter.
 
@@ -433,7 +426,7 @@ def generate_labeled_docs(n_docs: int, overlap: float, seed: int,
     rng = SplitMix64(seed)
     out = []
     for _ in range(n_docs):
-        if rng.uniform() < spam_fraction:
+        if rng.uniform() < _SPAM_FRACTION:
             out.append((_phrase(rng, spam_pool), "spam"))
         else:
             out.append((_phrase(rng, ham_pool), "ham"))

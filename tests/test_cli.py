@@ -506,3 +506,61 @@ def test_stats_only_ingest_keeps_no_rows(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["record_count"] == len(rows)
     assert len(rows) >= 20_000
     assert peak < 200 * len(rows)
+
+
+# -- hostile input files -------------------------------------------------------
+
+# Nests deeper than the JSON decoder's recursion limit.
+DEEP_JSON = "[" * 100_000
+
+
+@pytest.mark.parametrize("command", ["index", "generate", "filter"])
+def test_too_deep_json_is_a_json_error(tmp_path, capsys, command):
+    deep, out = tmp_path / "deep.json", tmp_path / "out"
+    deep.write_text(DEEP_JSON)
+    argv = {
+        "index": ["index", "--input", str(_archive(tmp_path)),
+                  "--config", str(deep)],
+        "generate": ["generate", "--spec", str(deep)],
+        "filter": ["filter", "--input", str(_archive(tmp_path)),
+                   "--model", str(deep)],
+    }[command]
+    assert cli.main(argv + ["--output", str(out)]) == 1
+    assert _error_line(capsys)["error"].startswith("cannot read ")
+    assert not out.exists()
+
+
+def test_train_spam_on_an_oversized_field_is_a_json_error(tmp_path, capsys):
+    labeled, model = tmp_path / "labeled.csv", tmp_path / "model.json"
+    labeled.write_text(csv_line(["spam", "x" * 200_000]) + "\nham,hi\n")
+    assert cli.main(["train-spam", "--input", str(labeled),
+                     "--model", str(model)]) == 1
+    assert "field larger than field limit" in _error_line(capsys)["error"]
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "1e309"])
+def test_train_spam_refuses_an_alpha_its_model_cannot_hold(tmp_path, capsys,
+                                                           alpha):
+    labeled, model = tmp_path / "labeled.csv", tmp_path / "model.json"
+    labeled.write_text("spam,buy now\nham,hello there\n")
+    assert cli.main(["train-spam", "--input", str(labeled),
+                     "--model", str(model), "--alpha", alpha]) == 1
+    assert "alpha" in _error_line(capsys)["error"]
+    assert not model.exists()
+
+
+def test_generated_years_below_1000_are_ingested(tmp_path, capsys):
+    spec, archive = tmp_path / "scenario.json", tmp_path / "corpus.csv"
+    spec.write_text(json.dumps(doc_with(window={"from": "0999-01-01",
+                                                "to": "0999-03-01"})))
+    assert cli.main(["generate", "--spec", str(spec),
+                     "--output", str(archive)]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows > 0
+    assert cli.main(["ingest", "--input", str(archive)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["record_count"], summary["rejected_count"]) == (rows, 0)
+    assert all(t.startswith("0999-") for t in summary["time_span"])
+    stamps = [line.split(",")[2] for line in archive.read_text().splitlines()]
+    assert all(s.startswith("0999-") for s in stamps)

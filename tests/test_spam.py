@@ -1,3 +1,4 @@
+import gzip
 import math
 import random
 
@@ -53,6 +54,11 @@ class TestTrain:
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             ep.train([("a b", "spam"), ("c d", "ham")], alpha=0.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_alpha_must_be_finite(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            ep.train([("a b", "spam"), ("c d", "ham")], alpha=alpha)
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError):
@@ -167,6 +173,13 @@ class TestPersistence:
         bad.write_text("spam,text,extra\n")
         with pytest.raises(ValueError, match="row 1"):
             read_labeled_csv(bad)
+
+    def test_read_labeled_csv_from_gzip(self, tmp_path):
+        path = tmp_path / "labeled.csv.gz"
+        with gzip.open(path, "wt", encoding="utf-8", newline="") as fh:
+            fh.write('spam,"buy, now"\r\n\r\nham,"two\nlines"\r\n')
+        assert read_labeled_csv(path) == [("buy, now", "spam"),
+                                          ("two\nlines", "ham")]
 
 
 def scanned(lines):

@@ -160,6 +160,23 @@ class TestValidation:
         with pytest.raises(ep.ScenarioError, match=r"events\[1\]\.factor"):
             ep.scenario_from_json(doc)
 
+    @pytest.mark.parametrize("event", [
+        {"kind": "controversy-burst", "entity": "ent:A"},
+        {"kind": "pair-link", "a": "ent:A", "b": "ent:B"},
+        {"kind": "signed-pair", "a": "ent:A", "b": "ent:B", "attitude": 2},
+        {"kind": "spam-block"},
+    ], ids=lambda ev: ev["kind"])
+    def test_event_texts_are_bounded(self, event):
+        event = dict(event, period="2015-02")
+        for texts in (1, MAX_PLANNED_TEXTS):
+            ep.scenario_from_json(doc_with(events=[dict(event, texts=texts)]))
+        for texts in (0, MAX_PLANNED_TEXTS + 1, 10**12, 2.0, True):
+            with pytest.raises(ep.ScenarioError,
+                               match=r"^events\[0\]\.texts: must be an "
+                                     rf"integer in \[1, {MAX_PLANNED_TEXTS}\]"):
+                ep.scenario_from_json(doc_with(events=[dict(event,
+                                                            texts=texts)]))
+
     def test_load_scenario_file(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc_with()))
