@@ -198,7 +198,7 @@ def _cmd_index(args, parser):
                       "rejected_count": stats.rejected_count,
                       "rejected_by_reason": _by_reason(rejections),
                       "entities": len(built.entities),
-                      "periods": len(built.periods()),
+                      "periods": len(built.slices),
                       "postings": built.posting_count(),
                       "index": args.output}))
     return 0

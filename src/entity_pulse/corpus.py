@@ -17,9 +17,8 @@ Row schema (RFC-4180 quoting)::
   the archive format omits it by default.
 
 Malformed rows never abort ingestion: each yields a :class:`Rejection` with
-the row number and a stable reason string, accumulated on the corpus. NUL
-characters are not representable in the row format; rows containing them
-are rejected wholesale.
+the row number and a stable reason string, accumulated on the corpus. A
+NUL character is read like any other, so an id may hold one.
 
 The package reads JSON and CSV, and writes files, only through this
 module: :func:`read_json` (config, scenario, spam model; ValueError),
@@ -33,6 +32,7 @@ import csv
 import gzip
 import io
 import json
+import math
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
@@ -371,8 +371,12 @@ def scan(source, min_confidence: float | None = None
     Takes the same arguments and applies the same rules as :func:`ingest`.
     The returned corpus gains the interned ids, rejections and stats as the
     iterator advances, but stores no rows: a caller that folds the rows
-    into something else never holds the whole archive.
+    into something else never holds the whole archive. A NaN
+    ``min_confidence`` raises ValueError at once: no confidence reaches
+    it, so it would drop every mention.
     """
+    if min_confidence is not None and math.isnan(min_confidence):
+        raise ValueError("min_confidence must be a number, not NaN")
     corpus = Corpus()
     return corpus, corpus._accept(source, min_confidence)
 

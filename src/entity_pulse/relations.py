@@ -108,7 +108,7 @@ def connectedness_to_set(index: EntityIndex, entity: str, others, period: Period
     return sum(scores) / len(scores)
 
 
-def _ranked(index: EntityIndex, entity: str, raw, triples, k: int) -> list:
+def _ranked(index: EntityIndex, raw, triples, k: int) -> list:
     names = index.entities
     tc = raw[_TC]
     scored = [(cnt / tc, cnt, names[eid]) for eid, cnt, _ in triples]
@@ -130,7 +130,7 @@ def k_network(index: EntityIndex, entity: str, period: Period,
     if raw is None:
         return RankedNetwork(entity, period, "plain", None, ())
     return RankedNetwork(entity, period, "plain", None,
-                         tuple(_ranked(index, entity, raw, raw[_CO], k)))
+                         tuple(_ranked(index, raw, raw[_CO], k)))
 
 
 def signed_k_network(index: EntityIndex, entity: str, period: Period, k: int,
@@ -161,7 +161,7 @@ def signed_k_network(index: EntityIndex, entity: str, period: Period, k: int,
                                    mean <= -delta and mean != 0.0):
             candidates.append(rec)
     return RankedNetwork(entity, period, sign, delta,
-                         tuple(_ranked(index, entity, raw, candidates, k)))
+                         tuple(_ranked(index, raw, candidates, k)))
 
 
 # -- stable output formats ---------------------------------------------------

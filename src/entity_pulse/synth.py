@@ -25,10 +25,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from typing import Iterator
 
 from .corpus import _escape_entity, _record_line, read_json, write_lines
 from .timeline import (Granularity, Period, enumerate_periods,
-                       parse_period_token)
+                       parse_period_token, parse_window)
 
 _M64 = (1 << 64) - 1
 
@@ -42,8 +43,12 @@ MAX_PLANNED_TEXTS = 1_000_000
 # Share of spam documents generate_labeled_docs draws.
 _SPAM_FRACTION = 0.5
 
-EVENT_KINDS = ("popularity-spike", "controversy-burst", "pair-link",
-               "signed-pair", "spam-block")
+# Each event kind, with the keys that name its entities.
+_EVENT_ENTITY_KEYS = {"popularity-spike": ("entity",),
+                      "controversy-burst": ("entity",),
+                      "pair-link": ("a", "b"), "signed-pair": ("a", "b"),
+                      "spam-block": ()}
+EVENT_KINDS = tuple(_EVENT_ENTITY_KEYS)
 
 SPAM_VOCAB = [
     "free", "winner", "jackpot", "claim", "prize", "bonus", "casino",
@@ -108,21 +113,27 @@ def _err(path: str, message: str) -> ScenarioError:
     return ScenarioError(f"{path}: {message}")
 
 
-def _require_int(doc: dict, path: str, key: str, minimum: int,
-                 maximum: int | None = None) -> int:
-    v = doc.get(key)
-    if (not isinstance(v, int) or isinstance(v, bool) or v < minimum
-            or maximum is not None and v > maximum):
-        bound = (f">= {minimum}" if maximum is None
-                 else f"in [{minimum}, {maximum}]")
-        raise _err(f"{path}.{key}", f"must be an integer {bound}")
-    return v
+# JSON's number types; ``type(v) in`` them excludes bool, unlike isinstance.
+_INT, _NUMBER = (int,), (int, float)
 
 
-def _require_str(doc: dict, path: str, key: str) -> str:
-    v = doc.get(key)
+def _number(v, path: str, low: float, high: float = math.inf, *,
+            integer: bool = False, below_high: bool = False):
+    """``v`` if it is a number in [low, high], or [low, high) when
+    ``below_high``; else a ScenarioError naming ``path``. A bool is no
+    number, and NaN or an infinity is never in range."""
+    if (type(v) in (_INT if integer else _NUMBER) and low <= v < math.inf
+            and (v < high if below_high else v <= high)):
+        return v
+    bound = (f">= {low}" if high == math.inf
+             else f"in [{low}, {high}{')' if below_high else ']'}")
+    raise _err(path, f"must be {'an integer' if integer else 'a number'} "
+                     f"{bound}")
+
+
+def _string(v, path: str) -> str:
     if not isinstance(v, str) or not v:
-        raise _err(f"{path}.{key}", "must be a non-empty string")
+        raise _err(path, "must be a non-empty string")
     return v
 
 
@@ -134,7 +145,7 @@ def _validate_event(ev: dict, i: int, periods: list[Period],
     kind = ev.get("kind")
     if kind not in EVENT_KINDS:
         raise _err(f"{path}.kind", f"must be one of {list(EVENT_KINDS)}")
-    token = _require_str(ev, path, "period")
+    token = _string(ev.get("period"), f"{path}.period")
     try:
         period = parse_period_token(token, g)
     except ValueError as exc:
@@ -142,121 +153,98 @@ def _validate_event(ev: dict, i: int, periods: list[Period],
     if period not in periods:
         raise _err(f"{path}.period", "lies outside the scenario window")
     out = {"kind": kind, "period": period}
+    for key in _EVENT_ENTITY_KEYS[kind]:
+        out[key] = _string(ev.get(key), f"{path}.{key}")
+    if "a" in out and out["a"] == out["b"]:
+        raise _err(f"{path}.b", "pair endpoints must differ")
     if kind == "popularity-spike":
-        out["entity"] = _require_str(ev, path, "entity")
-        factor = ev.get("factor")
-        # NaN fails the chained comparison; True would pass as 1, and an
-        # infinite factor overflows in generate() without naming the field.
-        if (not isinstance(factor, (int, float)) or isinstance(factor, bool)
-                or not 1 <= factor < math.inf):
-            raise _err(f"{path}.factor", "must be a number >= 1")
-        out["factor"] = factor
+        # A factor past the bound plans too many texts at any rate.
+        out["factor"] = _number(ev.get("factor"), f"{path}.factor", 1,
+                                MAX_PLANNED_TEXTS)
         return out
-    if kind == "controversy-burst":
-        out["entity"] = _require_str(ev, path, "entity")
-    elif kind in ("pair-link", "signed-pair"):
-        out["a"] = _require_str(ev, path, "a")
-        out["b"] = _require_str(ev, path, "b")
-        if out["a"] == out["b"]:
-            raise _err(f"{path}.b", "pair endpoints must differ")
-    out["texts"] = _require_int(ev, path, "texts", 1, MAX_PLANNED_TEXTS)
+    out["texts"] = _number(ev.get("texts"), f"{path}.texts", 1,
+                           MAX_PLANNED_TEXTS, integer=True)
     if kind == "signed-pair":
-        att = ev.get("attitude")
-        if not isinstance(att, int) or isinstance(att, bool) \
-                or not -4 <= att <= 4:
-            raise _err(f"{path}.attitude", "must be an integer in [-4, 4]")
-        out["attitude"] = att
+        out["attitude"] = _number(ev.get("attitude"), f"{path}.attitude",
+                                  -4, 4, integer=True)
     return out
 
 
-def _is_count(v) -> bool:
-    return (isinstance(v, int) and not isinstance(v, bool)
-            and 0 <= v <= MAX_PLANNED_TEXTS)
-
-
-def _check_planned_texts(events: list[dict], rates: dict[str, list[int]],
-                         periods: list[Period]) -> None:
-    """Name the first spike that lifts an (entity, period) plan, its rate
-    (taken as at least 1) times the product of its factors, past
-    ``MAX_PLANNED_TEXTS``."""
-    factors: dict[tuple[str, Period], float] = {}
+def _spike_products(events: list[dict]
+                    ) -> Iterator[tuple[int, tuple[str, Period], float]]:
+    """``(i, (entity, period), product)`` for each popularity spike
+    ``events[i]``: the product of the factors its (entity, period) has
+    gained so far, this spike's included."""
+    products: dict[tuple[str, Period], float] = {}
     for i, ev in enumerate(events):
-        if ev["kind"] != "popularity-spike":
-            continue
-        key = (ev["entity"], ev["period"])
-        factor = factors[key] = factors.get(key, 1.0) * ev["factor"]
-        entity_rates = rates.get(ev["entity"])
-        rate = entity_rates[periods.index(ev["period"])] if entity_rates else 0
-        if max(rate, 1) * factor > MAX_PLANNED_TEXTS:
-            raise _err(f"events[{i}].factor",
-                       f"plans {max(rate, 1) * factor:.3g} texts for "
-                       f"{ev['entity']!r} in {ev['period'].render()}; at "
-                       f"most {MAX_PLANNED_TEXTS} are allowed per (entity, "
-                       f"period)")
+        if ev["kind"] == "popularity-spike":
+            key = (ev["entity"], ev["period"])
+            products[key] = products.get(key, 1.0) * ev["factor"]
+            yield i, key, products[key]
 
 
 def scenario_from_json(doc: dict) -> ScenarioSpec:
-    """Validate a scenario document; errors name the offending field."""
+    """Validate a scenario document.
+
+    Each error is a ScenarioError ``PATH: must be ...`` naming the field at
+    fault (``seed``, ``window.from``, ``events[0].factor``); a rule that
+    ties two fields names one. The window tokens and periods are checked as
+    one (``window: ...``), and a non-object fails as ``scenario: ...``.
+    """
     if not isinstance(doc, dict):
         raise ScenarioError("scenario: must be a JSON object")
-    seed = _require_int(doc, "scenario", "seed", 0)
+    seed = _number(doc.get("seed"), "seed", 0, integer=True)
     window_doc = doc.get("window")
     if not isinstance(window_doc, dict):
-        raise ScenarioError("window: must be an object with from/to")
+        raise _err("window", "must be an object with from/to")
     try:
         g = Granularity.parse(doc.get("granularity", "month"))
     except ValueError as exc:
-        raise ScenarioError(f"granularity: {exc}") from None
+        raise _err("granularity", str(exc)) from None
+    tokens = [_string(window_doc.get(k), f"window.{k}")
+              for k in ("from", "to")]
     try:
-        start = parse_period_token(_require_str(window_doc, "window", "from"),
-                                   Granularity.DAY).start
-        end = parse_period_token(_require_str(window_doc, "window", "to"),
-                                 Granularity.DAY).start
+        start, end = parse_window(*tokens, g)
+        periods = enumerate_periods(start, end, g)
     except ValueError as exc:
-        raise ScenarioError(f"window: {exc}") from None
-    if start >= end:
-        raise ScenarioError("window: 'from' must precede 'to'")
-    users = _require_int(doc, "scenario", "users", 1)
-    periods = enumerate_periods(start, end, g)
+        raise _err("window", str(exc)) from None
+    users = _number(doc.get("users"), "users", 1, integer=True)
     raw_entities = doc.get("entities")
     if not isinstance(raw_entities, list):
-        raise ScenarioError("entities: must be a list")
-    entities: list[tuple[str, list[int]]] = []
-    seen: set[str] = set()
+        raise _err("entities", "must be a list")
+    entities: dict[str, list[int]] = {}
     for i, ent in enumerate(raw_entities):
         path = f"entities[{i}]"
         if not isinstance(ent, dict):
             raise _err(path, "must be an object")
-        eid = _require_str(ent, path, "id")
-        if eid in seen:
+        eid = _string(ent.get("id"), f"{path}.id")
+        if eid in entities:
             raise _err(f"{path}.id", f"duplicate entity {eid!r}")
-        seen.add(eid)
         rate = ent.get("rate")
-        if _is_count(rate):
-            rates = [rate] * len(periods)
-        elif (isinstance(rate, list) and len(rate) == len(periods)
-              and all(_is_count(r) for r in rate)):
-            rates = list(rate)
-        else:
+        rates = rate if isinstance(rate, list) else [rate] * len(periods)
+        if len(rates) != len(periods):
             raise _err(f"{path}.rate",
                        f"must be an integer in [0, {MAX_PLANNED_TEXTS}] or "
                        f"a list of {len(periods)} such integers")
-        entities.append((eid, rates))
-    prob = doc.get("extra_mention_prob", 0.0)
-    if (not isinstance(prob, (int, float)) or isinstance(prob, bool)
-            or not 0.0 <= prob < 1.0):
-        raise ScenarioError("extra_mention_prob: must be a number in [0, 1)")
-    overlap = doc.get("vocab_overlap", 0.2)
-    if (not isinstance(overlap, (int, float)) or isinstance(overlap, bool)
-            or not 0.0 <= overlap <= 0.4):
-        raise ScenarioError("vocab_overlap: must be a number in [0, 0.4]")
+        entities[eid] = [_number(r, f"{path}.rate", 0, MAX_PLANNED_TEXTS,
+                                 integer=True) for r in rates]
+    prob = _number(doc.get("extra_mention_prob", 0.0), "extra_mention_prob",
+                   0, 1, below_high=True)
+    overlap = _number(doc.get("vocab_overlap", 0.2), "vocab_overlap", 0, 0.4)
     raw_events = doc.get("events", [])
     if not isinstance(raw_events, list):
-        raise ScenarioError("events: must be a list")
+        raise _err("events", "must be a list")
     events = [_validate_event(ev, i, periods, g)
               for i, ev in enumerate(raw_events)]
-    _check_planned_texts(events, dict(entities), periods)
-    return ScenarioSpec(seed, (start, end), g, users, entities,
+    for i, (eid, period), product in _spike_products(events):
+        rate = entities[eid][periods.index(period)] if eid in entities else 0
+        planned = max(rate, 1) * product
+        if planned > MAX_PLANNED_TEXTS:
+            raise _err(f"events[{i}].factor",
+                       f"plans {planned:.3g} texts for {eid!r} in "
+                       f"{period.render()}; at most {MAX_PLANNED_TEXTS} are "
+                       f"allowed per (entity, period)")
+    return ScenarioSpec(seed, (start, end), g, users, list(entities.items()),
                         float(prob), float(overlap), events)
 
 
@@ -341,11 +329,8 @@ def generate(spec: ScenarioSpec) -> tuple[list[str], dict]:
     spam_rows = 0
     manifest_events: list[dict] = []
 
-    spikes: dict[tuple[str, Period], float] = {}
-    for ev in spec.events:
-        if ev["kind"] == "popularity-spike":
-            key = (ev["entity"], ev["period"])
-            spikes[key] = spikes.get(key, 1.0) * ev["factor"]
+    spikes = {key: product
+              for _, key, product in _spike_products(spec.events)}
 
     by_period: dict[Period, list[dict]] = {}
     for ev in spec.events:

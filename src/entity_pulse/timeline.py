@@ -166,7 +166,7 @@ def _token_day(token: str) -> date:
             return date(int(parts[0]), int(parts[1]), 1)
         if len(parts) == 3:
             return date(int(parts[0]), int(parts[1]), int(parts[2]))
-    except ValueError:
+    except (ValueError, OverflowError):  # a year past a C long overflows
         pass
     raise ValueError(f"bad period token {token!r}; expected YYYY, YYYY-MM "
                      f"or YYYY-MM-DD")

@@ -417,6 +417,18 @@ def test_network_in_the_last_period_is_a_json_error(tmp_path, capsys,
     assert "B" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("query", [
+    ["series", "--entity", "ent:A", "--measure", "attitude",
+     "--from", "2015-01", "--to", "99999999999999999999"],
+    ["network", "--entity", "ent:A", "--period", "2015-99999999999999999999"],
+], ids=["series", "network"])
+def test_numbers_past_a_c_long_are_bad_period_tokens(tmp_path, capsys, query):
+    argv = [query[0], "--index", str(_index_file(tmp_path)), *query[1:]]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert _error_line(capsys)["error"].startswith("bad period token")
+
+
 # -- ingest and filter outputs -------------------------------------------------
 
 # Three months out of file order, equal timestamps (kept in file order), a
@@ -474,6 +486,28 @@ t4,u3,2015-03-01T00:30:00Z,A:1.0,5,-5
 t1,u1,2015-03-10T08:00:00Z,A:0.9,3,-1
 t3,u1,2015-03-10T08:00:00Z,,1,-1,"hi, there"
 """
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command", ["index", "ingest", "filter"])
+def test_nan_min_confidence_is_a_json_error(tmp_path, capsys, command, via):
+    archive, out = tmp_path / "archive.csv", tmp_path / "out"
+    archive.write_text(ORDER_ARCHIVE, encoding="utf-8")
+    argv = [command, "--input", str(archive), "--output", str(out)]
+    if command == "filter":
+        model = tmp_path / "model.json"
+        ep.save_model(ep.train([("spam text offer", "spam"),
+                                ("hi there friend", "ham")]), model)
+        argv += ["--model", str(model)]
+    if via == "flag":
+        argv += ["--min-confidence", "nan"]
+    else:  # Python's JSON reader takes NaN, though JSON has no such number
+        config = tmp_path / "cfg.json"
+        config.write_text('{"min_confidence": NaN}')
+        argv += ["--config", str(config)]
+    assert cli.main(argv) == 1
+    assert "NaN" in _error_line(capsys)["error"]
+    assert not out.exists()
 
 
 def test_filter_of_a_textless_archive_is_a_json_error(tmp_path, capsys):

@@ -13,8 +13,9 @@ import entity_pulse as ep
 from entity_pulse.corpus import (REASON_DUPLICATE_ID, REASON_FIELD_COUNT,
                                  REASON_MENTIONS, REASON_SENTIMENT,
                                  REASON_TIMESTAMP, IngestError, Rejection,
-                                 _parse_mentions, write_atomic,
+                                 _parse_mentions, scan, write_atomic,
                                  write_rejections)
+from entity_pulse.index import build_streaming
 
 from helpers import row
 
@@ -186,6 +187,27 @@ class TestIngest:
         rows = [row("t1", "u1", "2015-01-05T00:00:00Z", [("a", -3.0)], 1, -1)]
         corpus, _ = ep.ingest(iter(rows), min_confidence=-3)
         assert len(next(corpus.records()).mentions) == 1
+
+    def test_nan_threshold_is_refused_before_any_row_is_read(self):
+        def untouched():
+            raise AssertionError("the source was read")
+            yield  # pragma: no cover
+
+        nan = float("nan")
+        for call in (lambda: scan(untouched(), nan),
+                     lambda: ep.ingest(untouched(), nan),
+                     lambda: build_streaming(untouched(), ep.Granularity.DAY,
+                                             2.0, min_confidence=nan)):
+            with pytest.raises(ValueError, match="min_confidence.*NaN"):
+                call()
+
+    def test_nul_is_read_like_any_other_character(self):
+        rows = [row("t\x001", "u\x00", "2015-01-05T00:00:00Z",
+                    [("A\x00", 1.0)], 1, -1)]
+        corpus, stats = ep.ingest(iter(rows))
+        assert stats.rejected_count == 0
+        assert corpus.entities == ["A\x00"]
+        assert next(corpus.records()).text_id == "t\x001"
 
     def test_empty_source(self):
         corpus, stats = ep.ingest(iter([]))

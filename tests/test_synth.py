@@ -1,9 +1,16 @@
+import copy
 import json
+import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entity_pulse as ep
-from entity_pulse.synth import MAX_PLANNED_TEXTS, SplitMix64, class_pools
+from entity_pulse import cli
+from entity_pulse.synth import (EVENT_KINDS, MAX_PLANNED_TEXTS, SplitMix64,
+                                class_pools)
 
 from helpers import make_corpus, month, window
 
@@ -186,6 +193,170 @@ class TestValidation:
         bad.write_text("{not json")
         with pytest.raises(ep.ScenarioError):
             ep.load_scenario(bad)
+
+
+# A valid document that holds every field a scenario can have.
+FULL_DOC = {
+    "seed": 3,
+    "window": {"from": "2015-01-01", "to": "2015-07-01"},
+    "granularity": "month",
+    "users": 5,
+    "extra_mention_prob": 0.2,
+    "vocab_overlap": 0.1,
+    "entities": [{"id": "ent:A", "rate": 2},
+                 {"id": "ent:B", "rate": [1, 0, 2, 1, 0, 3]}],
+    "events": [
+        {"kind": "popularity-spike", "entity": "ent:A", "period": "2015-02",
+         "factor": 2},
+        {"kind": "controversy-burst", "entity": "ent:B", "period": "2015-03",
+         "texts": 3},
+        {"kind": "pair-link", "a": "ent:A", "b": "ent:B", "period": "2015-04",
+         "texts": 2},
+        {"kind": "signed-pair", "a": "ent:A", "b": "ent:B",
+         "period": "2015-05", "texts": 2, "attitude": -2},
+        {"kind": "spam-block", "period": "2015-06", "texts": 2},
+    ],
+}
+# Each field as its key path: the top-level keys, then those of the window
+# and of each entity and event.
+FIELDS = ([(k,) for k in FULL_DOC]
+          + [("window", k) for k in FULL_DOC["window"]]
+          + [(name, i, k) for name in ("entities", "events")
+             for i, item in enumerate(FULL_DOC[name]) for k in item])
+# Values near the rules' edges, so that the draws pass the type checks
+# often enough to reach the range and cross-field rules behind them.
+NEAR_VALID = st.sampled_from([
+    0, 1, -1, 2, 4, 5, 6, 0.4, 0.5, 0.99, 1.0, 2.5, 1e308, 10**400,
+    MAX_PLANNED_TEXTS, MAX_PLANNED_TEXTS + 1, "ent:A", "ent:B", "ent:C",
+    "2014-12", "2015", "2015-03", "2015-07-01", "2015-13", "2015-06-30",
+    "9999-12-31", "99999999999999999999", "day", "week", "year", " Month ",
+    *EVENT_KINDS, [1, 2, 3, 4, 5, 6], [1] * 26, [],
+    {"from": "2015-01", "to": "2015-04"}, {"from": "2015-01"},
+    [{"id": "ent:A", "rate": 1}], [{"kind": "spam-block"}],
+])
+JSON_VALUES = st.one_of(NEAR_VALID, st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=12),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=8))
+
+
+def _mutated(field, value) -> dict:
+    """A copy of FULL_DOC with ``value`` at the key path ``field``."""
+    doc = copy.deepcopy(FULL_DOC)
+    parent = doc
+    for key in field[:-1]:
+        parent = parent[key]
+    parent[field[-1]] = value
+    return doc
+
+
+def _path(field) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                   for k in field).lstrip(".")
+
+
+def _names(path: str, message: str) -> bool:
+    return re.match(re.escape(path) + r"[:.\[]", message) is not None
+
+
+def _cross_field(field, message: str) -> bool:
+    """Whether ``message`` comes from a rule that ties the mutated ``field``
+    to another field and reports that other one."""
+    head = field[0]
+    if head in ("window", "granularity") and re.match(
+            r"window: |events\[\d+\]\.period: lies outside the scenario"
+            r" window|entities\[\d+\]\.rate: .* a list of \d+ ", message):
+        return True
+    if head == "entities" and re.match(r"entities\[\d+\]\.id: duplicate",
+                                       message):
+        return True
+    if field[-1] == "a" and _names(_path(field[:-1]) + ".b", message):
+        return "pair endpoints must differ" in message
+    if field[-1] == "kind":  # the kind decides which fields its event has
+        return _names(_path(field[:-1]), message)
+    return re.match(r"events\[\d+\]\.factor: plans ", message) is not None
+
+
+def _planned_rows(spec) -> float:
+    """An upper bound on the rows ``generate(spec)`` makes."""
+    factor = math.prod(ev["factor"] for ev in spec.events
+                       if ev["kind"] == "popularity-spike")
+    return (sum(sum(rates) for _, rates in spec.entities) * factor
+            + sum(ev.get("texts", 0) for ev in spec.events))
+
+
+class TestScenarioProperty:
+    def test_full_doc_is_valid(self):
+        rows, manifest = ep.generate(ep.scenario_from_json(FULL_DOC))
+        assert manifest["rows"] == len(rows) > 0
+        assert [ev["kind"] for ev in manifest["events"]] == list(EVENT_KINDS)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.sampled_from(FIELDS), JSON_VALUES)
+    def test_any_value_in_one_field_is_accepted_or_named(self, field, value):
+        try:
+            spec = ep.scenario_from_json(_mutated(field, value))
+        except ep.ScenarioError as exc:
+            message = str(exc)
+            assert _names(_path(field), message) \
+                or _cross_field(field, message), (field, message)
+            return
+        if _planned_rows(spec) <= 20_000:
+            rows, manifest = ep.generate(spec)
+            assert manifest["rows"] == len(rows)
+            _, stats = ep.ingest(iter(rows))
+            assert (stats.record_count, stats.rejected_count) == (len(rows), 0)
+
+    # Windows whose last period ends past 9999-12-31.
+    LAST_WINDOWS = [("year", "9999-11", "9999-12"),
+                    ("month", "9999-12-01", "9999-12-02"),
+                    ("week", "9999-12-27", "9999-12-30")]
+
+    @pytest.mark.parametrize("granularity,start,end", LAST_WINDOWS)
+    def test_window_past_the_last_day_names_the_window(self, granularity,
+                                                        start, end):
+        doc = doc_with(granularity=granularity, entities=[],
+                       window={"from": start, "to": end})
+        with pytest.raises(ep.ScenarioError,
+                           match=r"^window: the \w+ starting 9999-\S+ ends "
+                                 r"after 9999-12-31"):
+            ep.scenario_from_json(doc)
+
+    def test_generate_on_a_window_past_the_last_day_is_a_json_error(
+            self, tmp_path, capsys):
+        granularity, start, end = self.LAST_WINDOWS[0]
+        spec, out = tmp_path / "scenario.json", tmp_path / "corpus.csv"
+        spec.write_text(json.dumps(doc_with(
+            granularity=granularity, window={"from": start, "to": end})))
+        assert cli.main(["generate", "--spec", str(spec),
+                         "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert json.loads(line)["error"].startswith("window: ")
+        assert not out.exists()
+
+    MESSAGES = [
+        (("seed",), -1, "seed: must be an integer >= 0"),
+        (("users",), 0, "users: must be an integer >= 1"),
+        (("window", "from"), 5, "window.from: must be a non-empty string"),
+        (("window", "to"), "2014-01", "window: empty window: "),
+        (("events", 0, "factor"), 10**400,
+         f"events[0].factor: must be a number in [1, {MAX_PLANNED_TEXTS}]"),
+        (("events", 0, "period"), "99999999999999999999",
+         "events[0].period: bad period token"),
+        (("entities", 1, "rate"), [1, 2, 3, 4, 5, -6],
+         f"entities[1].rate: must be an integer in [0, {MAX_PLANNED_TEXTS}]"),
+    ]
+
+    @pytest.mark.parametrize("field,value,message", MESSAGES,
+                             ids=[_path(f) for f, _, _ in MESSAGES])
+    def test_messages_start_with_the_field_path(self, field, value, message):
+        with pytest.raises(ep.ScenarioError) as err:
+            ep.scenario_from_json(_mutated(field, value))
+        assert str(err.value).startswith(message)
 
 
 class TestPlantedEvents:

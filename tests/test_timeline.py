@@ -149,6 +149,15 @@ class TestTokens:
         with pytest.raises(ValueError):
             parse_window("2016-01", "2015-01", Granularity.MONTH)
 
+    @pytest.mark.parametrize("token", ["99999999999999999999",
+                                       "2015-99999999999999999999",
+                                       "2015-01-99999999999999999999"])
+    def test_numbers_past_a_c_long_are_bad_tokens(self, token):
+        with pytest.raises(ValueError, match="bad period token"):
+            parse_period_token(token, Granularity.DAY)
+        with pytest.raises(ValueError, match="bad period token"):
+            parse_window("2015-01", token, Granularity.DAY)
+
     def test_granularity_parse(self):
         assert Granularity.parse(" Month ") is Granularity.MONTH
         with pytest.raises(ValueError):
