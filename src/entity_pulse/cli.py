@@ -12,15 +12,20 @@ runtime failure, 2 usage error. Every runtime failure leaves through the
 one ``except`` in ``main``, as one JSON ``error`` line. An unknown entity
 is an answer (empty/zero output), not an error.
 
-Every subcommand accepts ``--config FILE`` with a JSON object of option
-defaults (keys match option names with dashes as underscores, so
-``--from`` is ``from``); explicit flags win over the config file. A key
-must name an option of some subcommand, so that subcommands can share one
-file. A config value must be of its option's kind: a number (an integer
-where the option takes one), one of the option's choices, true/false for
-a flag, or else a string. A query runs at its index's granularity unless
-``--granularity`` says otherwise (then it fails); ``epx index`` builds by
-month unless told otherwise.
+Each option is declared once, in ``_OPTIONS`` (its argparse keywords and
+its default), and each subcommand once, in ``_COMMANDS`` (its handler,
+the options it takes and those it requires). Every subcommand accepts
+``--config FILE`` with a JSON object of option defaults (keys match option
+names with dashes as underscores, so ``--from`` is ``from``); ``main``
+merges it before dispatch, and explicit flags win over it. A key must name
+an option of some subcommand, so that subcommands can share one file. A
+config value must be of its option's kind: a number (an integer where the
+option takes one), one of the option's choices, true/false for a flag, or
+else a string. ``--granularity`` takes the same choices wherever it is
+declared: a bad value is a usage error on the command line (exit 2) and a
+runtime failure in a config file (exit 1). A query runs at its index's
+granularity unless ``--granularity`` says otherwise (then it fails);
+``epx index`` builds by month unless told otherwise.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import argparse
 import json
 import sys
 from collections import Counter, deque
+from typing import Callable, NamedTuple
 
 from . import corpus as corpus_mod
 from . import index as index_mod
@@ -38,17 +44,6 @@ from . import spam as spam_mod
 from . import synth as synth_mod
 from .timeline import (Granularity, enumerate_periods, parse_period_token,
                        parse_window)
-
-_DEFAULTS = {
-    "delta": 2.0,
-    "k": 10,
-    "min_support": 1,
-    "direction": "high",
-    "variant": "plain",
-    "kind": "direct",
-    "format": "csv",
-    "alpha": 1.0,
-}
 
 
 def _diag(payload: dict) -> None:
@@ -70,80 +65,30 @@ def _json_lines(records: list[dict]) -> list[str]:
     return [json.dumps(r) for r in records]
 
 
-def _options(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
-    """``parser``'s options but ``--help`` and ``--config``, by config key:
-    the option name with dashes as underscores (``--from`` is ``from``)."""
-    return {a.option_strings[-1].lstrip("-").replace("-", "_"): a
-            for a in parser._actions if a.dest not in ("help", "config")}
-
-
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                  required: tuple[str, ...]) -> argparse.Namespace:
-    config = {}
-    if args.config:
-        config = corpus_mod.read_json(args.config, "config")
-        if not isinstance(config, dict):
-            raise ValueError("config file must hold a JSON object")
-        for key in config:
-            if key not in args.config_keys:
-                raise ValueError(f"config {key}: unknown option")
-    options = _options(parser)
-    for key, action in options.items():
-        if getattr(args, action.dest) is None:
-            if key in config:
-                value = _config_value(key, action, config[key])
-            else:
-                value = _DEFAULTS.get(key)
-            setattr(args, action.dest, value)
-    for key in required:
-        if getattr(args, options[key].dest) is None:
-            parser.error("missing required option "
-                         f"{options[key].option_strings[-1]}")
-    return args
-
-
-def _config_value(key: str, action: argparse.Action, value):
-    """A config file's ``value`` for ``action``'s option, held to what the
-    command line accepts there; raises ValueError naming the ``key``."""
-    if action.nargs == 0:  # a store_true flag
-        ok, kind = isinstance(value, bool), "true or false"
-    elif action.type is int:
-        ok, kind = type(value) is int, "an integer"
-    elif action.type is float:
-        ok, kind = type(value) in (int, float), "a number"
-        value = float(value) if ok else value
-    else:
-        ok, kind = isinstance(value, str), "a string"
-    if action.choices is not None:
-        ok = ok and value in action.choices
-        kind += f" in {list(action.choices)}"
-    if not ok:
-        raise ValueError(f"config {key}: expected {kind}, got {value!r}")
-    return value
-
-
-def _granularity(args, index=None) -> Granularity:
-    """The granularity to build at (month unless given), or to query
-    ``index`` at: its own unless given, and a given one must match it."""
-    if args.granularity is None:
-        return Granularity.MONTH if index is None else index.granularity
-    g = Granularity.parse(args.granularity)
-    if index is not None and g is not index.granularity:
-        raise ValueError(f"index granularity is {index.granularity.value}, "
-                         f"queried {g.value}")
-    return g
-
-
 def _warn_unknown_entity(index, *entities) -> None:
     for e in entities:
         if e and index.entity_id_of(e) is None:
             _diag({"warning": "unknown entity", "entity": e})
 
 
+def _open_query(args, others: list[str] | None = None):
+    """The index a query reads and its window, at the index's granularity
+    (a given ``--granularity`` must match it). Unknown entities are warned
+    about; connectedness's ``others`` must name at least one entity."""
+    index = index_mod.load(args.index)
+    g = index.granularity
+    if args.granularity not in (None, g.value):
+        raise ValueError(f"index granularity is {g.value}, "
+                         f"queried {args.granularity}")
+    if others == []:
+        args.subparser.error("--other must name at least one entity")
+    _warn_unknown_entity(index, args.entity, *others or ())
+    return index, parse_window(args.from_, args.to, g)
+
+
 # -- subcommand handlers -------------------------------------------------------
 
-def _cmd_ingest(args, parser):
-    _merge_config(args, parser, ("input",))
+def _cmd_ingest(args):
     corpus, rows = corpus_mod.scan(args.input,
                                    min_confidence=args.min_confidence)
     if args.output:
@@ -153,42 +98,34 @@ def _cmd_ingest(args, parser):
     if args.rejects:
         corpus_mod.write_rejections(corpus.rejections, args.rejects)
     stats = corpus.stats
-    span = None
-    if stats.time_span:
-        span = [stats.time_span[0].isoformat(), stats.time_span[1].isoformat()]
+    span = stats.time_span and [t.isoformat() for t in stats.time_span]
     print(json.dumps({"record_count": stats.record_count,
                       "rejected_count": stats.rejected_count,
                       "rejected_by_reason": _by_reason(corpus.rejections),
                       "distinct_users": stats.distinct_users,
                       "time_span": span}))
-    return 0
 
 
-def _cmd_train_spam(args, parser):
-    _merge_config(args, parser, ("input", "model"))
+def _cmd_train_spam(args):
     labeled = spam_mod.read_labeled_csv(args.input)
     model = spam_mod.train(labeled, alpha=args.alpha)
     spam_mod.save_model(model, args.model)
     print(json.dumps({"documents": len(labeled),
                       "vocabulary": len(model.vocabulary),
                       "model": args.model}))
-    return 0
 
 
-def _cmd_filter(args, parser):
-    _merge_config(args, parser, ("input", "model", "output"))
+def _cmd_filter(args):
     model = spam_mod.load_model(args.model)
     corpus, rows = corpus_mod.scan(args.input,
                                    min_confidence=args.min_confidence)
     kept, removed = spam_mod.filter_rows(rows, model)
     corpus_mod.write_records(corpus, kept, args.output)
     print(json.dumps({"removed_count": removed, "kept_count": len(kept)}))
-    return 0
 
 
-def _cmd_index(args, parser):
-    _merge_config(args, parser, ("input", "output"))
-    g = _granularity(args)
+def _cmd_index(args):
+    g = Granularity(args.granularity or Granularity.MONTH)
     built, stats, rejections = index_mod.build_streaming(
         args.input, g, args.delta, min_confidence=args.min_confidence)
     if args.rejects:
@@ -201,23 +138,15 @@ def _cmd_index(args, parser):
                       "periods": len(built.slices),
                       "postings": built.posting_count(),
                       "index": args.output}))
-    return 0
 
 
-def _cmd_inspect(args, parser):
-    _merge_config(args, parser, ("index",))
-    print(json.dumps(index_mod.inspect_file(args.index,
-                                            verify=bool(args.verify)),
+def _cmd_inspect(args):
+    print(json.dumps(index_mod.inspect_file(args.index, verify=args.verify),
                      indent=2))
-    return 0
 
 
-def _cmd_series(args, parser):
-    _merge_config(args, parser, ("index", "entity", "measure", "from", "to"))
-    index = index_mod.load(args.index)
-    _granularity(args, index)
-    _warn_unknown_entity(index, args.entity)
-    window = parse_window(args.from_, args.to, index.granularity)
+def _cmd_series(args):
+    index, window = _open_query(args)
     points = measures_mod.series(index, args.entity, window, args.measure)
     if args.format == "json":
         rows = _json_lines(measures_mod.series_json_records(points,
@@ -225,15 +154,10 @@ def _cmd_series(args, parser):
     else:
         rows = measures_mod.series_csv_rows(points, args.measure)
     _emit(args, rows)
-    return 0
 
 
-def _cmd_topk(args, parser):
-    _merge_config(args, parser, ("index", "entity", "measure", "from", "to"))
-    index = index_mod.load(args.index)
-    _granularity(args, index)
-    _warn_unknown_entity(index, args.entity)
-    window = parse_window(args.from_, args.to, index.granularity)
+def _cmd_topk(args):
+    index, window = _open_query(args)
     ranked = measures_mod.top_k_periods(index, args.entity, window,
                                         args.measure, args.k, args.direction)
     if args.format == "json":
@@ -242,18 +166,11 @@ def _cmd_topk(args, parser):
     else:
         rows = measures_mod.ranked_periods_csv_rows(ranked, index)
     _emit(args, rows)
-    return 0
 
 
-def _cmd_connectedness(args, parser):
-    _merge_config(args, parser, ("index", "entity", "other", "from", "to"))
-    index = index_mod.load(args.index)
-    _granularity(args, index)
+def _cmd_connectedness(args):
     others = [o for o in args.other.split(",") if o]
-    if not others:
-        parser.error("--other must name at least one entity")
-    _warn_unknown_entity(index, args.entity, *others)
-    window = parse_window(args.from_, args.to, index.granularity)
+    index, window = _open_query(args, others)
     rows: list[str] = []  # rendered as built: no list of records is held
     for period in enumerate_periods(window[0], window[1], index.granularity):
         if len(others) > 1:
@@ -270,7 +187,7 @@ def _cmd_connectedness(args, parser):
                 pairs.append(("indirect",
                               relations_mod.indirect_connectedness(
                                   index, args.entity, target, period,
-                                  include_self=bool(args.include_self))))
+                                  include_self=args.include_self)))
         for kind, value in pairs:
             record = {"entity": args.entity, "other": target,
                       "period_start": period.start_date.isoformat(),
@@ -279,11 +196,9 @@ def _cmd_connectedness(args, parser):
             rows.append(json.dumps(record) if args.format == "json"
                         else corpus_mod.csv_line(record.values()))
     _emit(args, rows)
-    return 0
 
 
-def _cmd_network(args, parser):
-    _merge_config(args, parser, ("index", "entity", "period"))
+def _cmd_network(args):
     index = index_mod.load(args.index)
     _warn_unknown_entity(index, args.entity)
     period = parse_period_token(args.period, index.granularity)
@@ -301,28 +216,154 @@ def _cmd_network(args, parser):
     else:
         rows = relations_mod.network_csv_rows(network)
     _emit(args, rows)
-    return 0
 
 
-def _cmd_generate(args, parser):
-    _merge_config(args, parser, ("spec", "output"))
+def _cmd_generate(args):
     manifest = synth_mod.write_corpus(synth_mod.load_scenario(args.spec),
                                       args.output, args.manifest or None)
     print(json.dumps({"rows": manifest["rows"],
                       "spam_rows": manifest["spam_rows"]}))
-    return 0
 
 
-# -- parser wiring -------------------------------------------------------------
+# -- options and subcommands ---------------------------------------------------
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="JSON file with option defaults")
-    sp.set_defaults(subparser=sp)
+# Each option's argparse keywords. Every option is parsed with default None,
+# so that ``_merge_config`` can tell an option left off the command line; it
+# then takes the config file's value, else the "default" given here.
+_OPTIONS: dict[str, dict] = {
+    "--input": {}, "--rejects": {}, "--model": {}, "--index": {},
+    "--entity": {}, "--to": {}, "--from": {"dest": "from_"},
+    "--output": {"help": "write here atomically (default stdout)"},
+    "--min-confidence": {"type": float},
+    "--alpha": {"type": float, "default": 1.0},
+    "--granularity": {"choices": [g.value for g in Granularity]},
+    "--delta": {"type": float, "default": 2.0},
+    "--verify": {"action": "store_true", "default": False,
+                 "help": "decode and check every posting block too"},
+    "--measure": {"choices": sorted(measures_mod.MEASURES)},
+    "--k": {"type": int, "default": 10},
+    "--direction": {"choices": ["high", "low"], "default": "high"},
+    "--other": {"help": "target entity, or comma list for a set"},
+    "--kind": {"choices": ["direct", "indirect", "both"],
+               "default": "direct"},
+    "--include-self": {"action": "store_true", "default": False},
+    "--period": {"help": "YYYY, YYYY-MM or YYYY-MM-DD"},
+    "--variant": {"choices": ["plain", "positive", "negative"],
+                  "default": "plain"},
+    "--min-support": {"type": int, "default": 1},
+    "--graph-output": {"help": "edge list CSV source,target,score,support"},
+    "--format": {"choices": ["csv", "json"], "default": "csv"},
+    "--spec": {"help": "scenario JSON"},
+    "--manifest": {"help": "ground-truth manifest JSON path"},
+    "--config": {"help": "JSON file with option defaults"},
+}
 
 
-def _add_output(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--format", choices=["csv", "json"])
-    sp.add_argument("--output", help="write here atomically (default stdout)")
+class _Command(NamedTuple):
+    handler: Callable[[argparse.Namespace], None]
+    help: str
+    options: tuple[str, ...]  # in --help order; --config is added to all
+    required: tuple[str, ...]  # checked in this order
+    helps: dict[str, str | None] = {}  # an option's help in this command
+
+
+_QUERY = ("--index", "--entity")
+_WINDOW = ("--from", "--to", "--granularity")
+_OUTPUT = ("--format", "--output")
+_COMMANDS = {
+    "ingest": _Command(
+        _cmd_ingest, "validate rows, report stats",
+        ("--input", "--min-confidence", "--output", "--rejects"), ("--input",),
+        {"--output": "canonical CSV of accepted records",
+         "--rejects": "side CSV row,reason"}),
+    "train-spam": _Command(
+        _cmd_train_spam, "fit the naive Bayes spam model",
+        ("--input", "--model", "--alpha"), ("--input", "--model"),
+        {"--input": "labeled CSV label,text",
+         "--model": "model JSON output path"}),
+    "filter": _Command(
+        _cmd_filter, "drop records classified as spam",
+        ("--input", "--model", "--output", "--min-confidence"),
+        ("--input", "--model", "--output"), {"--output": None}),
+    "index": _Command(
+        _cmd_index, "ingest and build an index file",
+        ("--input", "--output", "--granularity", "--delta", "--min-confidence",
+         "--rejects"), ("--input", "--output"),
+        {"--output": "index file path (.epx)"}),
+    "inspect": _Command(_cmd_inspect, "dump index container stats as JSON",
+                        ("--index", "--verify"), ("--index",)),
+    "series": _Command(_cmd_series, "per-period measure series",
+                       (*_QUERY, "--measure", *_WINDOW, *_OUTPUT),
+                       (*_QUERY, "--measure", "--from", "--to")),
+    "topk": _Command(_cmd_topk, "top-k periods by a measure",
+                     (*_QUERY, "--measure", *_WINDOW, "--k", "--direction",
+                      *_OUTPUT), (*_QUERY, "--measure", "--from", "--to")),
+    "connectedness": _Command(
+        _cmd_connectedness, "entity-to-entity connectedness over a window",
+        (*_QUERY, "--other", *_WINDOW, "--kind", "--include-self", *_OUTPUT),
+        (*_QUERY, "--other", "--from", "--to")),
+    "network": _Command(
+        _cmd_network, "k-Network for an entity and period",
+        (*_QUERY, "--period", "--k", "--variant", "--delta", "--min-support",
+         "--graph-output", *_OUTPUT), (*_QUERY, "--period")),
+    "generate": _Command(
+        _cmd_generate, "synthesize a corpus from a scenario",
+        ("--spec", "--output", "--manifest"), ("--spec", "--output"),
+        {"--output": "corpus CSV path"}),
+}
+
+
+def _key(flag: str) -> str:
+    """``flag``'s config key: its name with dashes as underscores."""
+    return flag[2:].replace("-", "_")
+
+
+# Any subcommand's option, so that subcommands can share one config file.
+_CONFIG_KEYS = {_key(flag) for flag in _OPTIONS if flag != "--config"}
+
+
+def _merge_config(args: argparse.Namespace, command: _Command) -> None:
+    """Set each of ``command``'s options left off the command line from the
+    ``--config`` file, else to its default; then exit 2 (usage) unless
+    every required option is set."""
+    config = {}
+    if args.config:
+        config = corpus_mod.read_json(args.config, "config")
+        if not isinstance(config, dict):
+            raise ValueError("config file must hold a JSON object")
+        for key in config:
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"config {key}: unknown option")
+    for flag in command.options:
+        key, keywords = _key(flag), _OPTIONS[flag]
+        dest = keywords.get("dest", key)
+        if getattr(args, dest) is None:
+            setattr(args, dest, _config_value(key, keywords, config[key])
+                    if key in config else keywords.get("default"))
+    for flag in command.required:
+        if getattr(args, _OPTIONS[flag].get("dest", _key(flag))) is None:
+            args.subparser.error(f"missing required option {flag}")
+
+
+def _config_value(key: str, keywords: dict, value):
+    """A config file's ``value`` for the option of argparse ``keywords``,
+    held to what the command line accepts there; raises ValueError naming
+    the ``key``."""
+    if keywords.get("action") == "store_true":
+        ok, kind = isinstance(value, bool), "true or false"
+    elif keywords.get("type") is int:
+        ok, kind = type(value) is int, "an integer"
+    elif keywords.get("type") is float:
+        ok, kind = type(value) in (int, float), "a number"
+        value = float(value) if ok else value
+    else:
+        ok, kind = isinstance(value, str), "a string"
+    if "choices" in keywords:
+        ok = ok and value in keywords["choices"]
+        kind += f" in {keywords['choices']}"
+    if not ok:
+        raise ValueError(f"config {key}: expected {kind}, got {value!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,122 +372,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Entity-centric temporal analytics over annotated "
                     "short-text archives")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="validate rows, report stats")
-    p.add_argument("--input")
-    p.add_argument("--min-confidence", type=float, dest="min_confidence")
-    p.add_argument("--output", help="canonical CSV of accepted records")
-    p.add_argument("--rejects", help="side CSV row,reason")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_ingest)
-
-    p = sub.add_parser("train-spam", help="fit the naive Bayes spam model")
-    p.add_argument("--input", help="labeled CSV label,text")
-    p.add_argument("--model", help="model JSON output path")
-    p.add_argument("--alpha", type=float)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_train_spam)
-
-    p = sub.add_parser("filter", help="drop records classified as spam")
-    p.add_argument("--input")
-    p.add_argument("--model")
-    p.add_argument("--output")
-    p.add_argument("--min-confidence", type=float, dest="min_confidence")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_filter)
-
-    p = sub.add_parser("index", help="ingest and build an index file")
-    p.add_argument("--input")
-    p.add_argument("--output", help="index file path (.epx)")
-    p.add_argument("--granularity", choices=[g.value for g in Granularity])
-    p.add_argument("--delta", type=float)
-    p.add_argument("--min-confidence", type=float, dest="min_confidence")
-    p.add_argument("--rejects")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_index)
-
-    p = sub.add_parser("inspect", help="dump index container stats as JSON")
-    p.add_argument("--index")
-    p.add_argument("--verify", action="store_true", default=None,
-                   help="decode and check every posting block too")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_inspect)
-
-    p = sub.add_parser("series", help="per-period measure series")
-    p.add_argument("--index")
-    p.add_argument("--entity")
-    p.add_argument("--measure", choices=sorted(measures_mod.MEASURES))
-    p.add_argument("--from", dest="from_")
-    p.add_argument("--to")
-    p.add_argument("--granularity")
-    _add_output(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_series)
-
-    p = sub.add_parser("topk", help="top-k periods by a measure")
-    p.add_argument("--index")
-    p.add_argument("--entity")
-    p.add_argument("--measure", choices=sorted(measures_mod.MEASURES))
-    p.add_argument("--from", dest="from_")
-    p.add_argument("--to")
-    p.add_argument("--k", type=int)
-    p.add_argument("--direction", choices=["high", "low"])
-    p.add_argument("--granularity")
-    _add_output(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_topk)
-
-    p = sub.add_parser("connectedness",
-                       help="entity-to-entity connectedness over a window")
-    p.add_argument("--index")
-    p.add_argument("--entity")
-    p.add_argument("--other", help="target entity, or comma list for a set")
-    p.add_argument("--from", dest="from_")
-    p.add_argument("--to")
-    p.add_argument("--kind", choices=["direct", "indirect", "both"])
-    p.add_argument("--include-self", action="store_true", default=None,
-                   dest="include_self")
-    p.add_argument("--granularity")
-    _add_output(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_connectedness)
-
-    p = sub.add_parser("network", help="k-Network for an entity and period")
-    p.add_argument("--index")
-    p.add_argument("--entity")
-    p.add_argument("--period", help="YYYY, YYYY-MM or YYYY-MM-DD")
-    p.add_argument("--k", type=int)
-    p.add_argument("--variant", choices=["plain", "positive", "negative"])
-    p.add_argument("--delta", type=float)
-    p.add_argument("--min-support", type=int, dest="min_support")
-    p.add_argument("--graph-output", dest="graph_output",
-                   help="edge list CSV source,target,score,support")
-    _add_output(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_network)
-
-    p = sub.add_parser("generate", help="synthesize a corpus from a scenario")
-    p.add_argument("--spec", help="scenario JSON")
-    p.add_argument("--output", help="corpus CSV path")
-    p.add_argument("--manifest", help="ground-truth manifest JSON path")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_generate)
-
-    keys = {key for sp in sub.choices.values() for key in _options(sp)}
-    for sp in sub.choices.values():  # one config file may serve them all
-        sp.set_defaults(config_keys=keys)
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        for flag in (*command.options, "--config"):
+            keywords = {**_OPTIONS[flag], "default": None}
+            if flag in command.helps:
+                keywords["help"] = command.helps[flag]
+            sp.add_argument(flag, **keywords)
+        sp.set_defaults(subparser=sp)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
-        return args.handler(args, args.subparser)
+        _merge_config(args, command)
+        command.handler(args)
     except (ValueError, OSError, corpus_mod.IngestError,
             index_mod.IndexFormatError) as exc:
         _diag({"error": str(exc)})
         return 1
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -6,6 +6,9 @@ Row schema (RFC-4180 quoting)::
 
 * ``timestamp`` is ISO-8601 UTC; sub-second precision is truncated. A
   trailing ``Z``, an explicit offset, or no offset (read as UTC) are accepted.
+  It is read by Python 3.11's ``datetime.fromisoformat``, so the week date
+  ``2015-W27-1`` and the basic format ``20150705T100000+00:00`` are read too
+  (3.10's reads neither; the package requires 3.11).
   In UTC it must fall before year 9999, whose year period would end past
   the last representable date.
 * ``mentions`` holds ``entity_id:confidence`` pairs joined by ``;``. Entity

@@ -444,16 +444,26 @@ class _Blocks:
                 raise ValueError(f"posting in {d} has no period slice")
             if tc < 1:
                 raise ValueError(f"posting in {d} has no texts")
+            texts, users = slices[d]
+            # A text's attitude is in [-4, 4] and its sentimentality in
+            # [0, 8]; the strongly positive and negative texts are disjoint.
+            if not (uc <= tc <= texts and 1 <= uc <= users
+                    and spos + sneg <= tc and abs(att) <= 4 * tc
+                    and 0 <= sent <= 8 * tc):
+                raise ValueError(f"posting in {d} has counts out of range")
             co_end = pos + nco * _CO_REC.size
             if co_end > end:
                 raise ValueError("block overrun")
             co = tuple(_CO_REC.iter_unpack(buf[pos:co_end]))
             prev = -1
-            for e2, c, _ in co:
+            for e2, c, a in co:
                 if not prev < e2 < n_entities or e2 == eid:
                     raise ValueError(f"bad co-entity reference {e2}")
                 if not 1 <= c <= tc:
                     raise ValueError(f"bad shared-text count {c}")
+                if abs(a) > 4 * c:
+                    raise ValueError(f"attitude sum {a} with co-entity {e2} "
+                                     f"out of range")
                 prev = e2
             pos = co_end
             out[d] = (tc, uc, att, sent, spos, sneg, co)
@@ -675,6 +685,8 @@ def _decode_slic(buf: memoryview, g: Granularity
     last = None
     for ordinal, tt, ut in _SLICE_REC.iter_unpack(buf[4:]):
         d = date.fromordinal(ordinal)
+        if not 1 <= ut <= tt:
+            raise ValueError(f"slice {d} has counts out of range")
         if last is not None and d <= last:
             raise ValueError("slice periods not strictly increasing")
         if start_date(d, g) != d:

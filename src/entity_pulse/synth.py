@@ -39,6 +39,10 @@ _M64 = (1 << 64) - 1
 # only exhaust memory (or, past float range, fail outright);
 # scenario_from_json rejects it instead.
 MAX_PLANNED_TEXTS = 1_000_000
+# Most texts a scenario may plan in all: every entity's rates times their
+# spike factors, plus every other event's ``texts``. A generated row takes
+# ~130 bytes of memory, so this is some 250 MB of rows.
+MAX_SCENARIO_TEXTS = 2 * MAX_PLANNED_TEXTS
 
 # Share of spam documents generate_labeled_docs draws.
 _SPAM_FRACTION = 0.5
@@ -183,6 +187,16 @@ def _spike_products(events: list[dict]
             yield i, key, products[key]
 
 
+def _add_to_plan(total: float, texts: float, path: str) -> float:
+    """``total + texts``; a ScenarioError naming ``path`` if that passes
+    MAX_SCENARIO_TEXTS."""
+    total += texts
+    if total > MAX_SCENARIO_TEXTS:
+        raise _err(path, f"plans {total:.3g} texts in all; at most "
+                         f"{MAX_SCENARIO_TEXTS} are allowed per scenario")
+    return total
+
+
 def scenario_from_json(doc: dict) -> ScenarioSpec:
     """Validate a scenario document.
 
@@ -190,6 +204,9 @@ def scenario_from_json(doc: dict) -> ScenarioSpec:
     fault (``seed``, ``window.from``, ``events[0].factor``); a rule that
     ties two fields names one. The window tokens and periods are checked as
     one (``window: ...``), and a non-object fails as ``scenario: ...``.
+    The texts planned in all are summed over the entities' rates, then the
+    spikes' factors, then the other events' texts; the field at which the
+    sum passes MAX_SCENARIO_TEXTS is named.
     """
     if not isinstance(doc, dict):
         raise ScenarioError("scenario: must be a JSON object")
@@ -213,6 +230,7 @@ def scenario_from_json(doc: dict) -> ScenarioSpec:
     if not isinstance(raw_entities, list):
         raise _err("entities", "must be a list")
     entities: dict[str, list[int]] = {}
+    total = 0  # texts planned so far
     for i, ent in enumerate(raw_entities):
         path = f"entities[{i}]"
         if not isinstance(ent, dict):
@@ -228,6 +246,7 @@ def scenario_from_json(doc: dict) -> ScenarioSpec:
                        f"a list of {len(periods)} such integers")
         entities[eid] = [_number(r, f"{path}.rate", 0, MAX_PLANNED_TEXTS,
                                  integer=True) for r in rates]
+        total = _add_to_plan(total, sum(entities[eid]), f"{path}.rate")
     prob = _number(doc.get("extra_mention_prob", 0.0), "extra_mention_prob",
                    0, 1, below_high=True)
     overlap = _number(doc.get("vocab_overlap", 0.2), "vocab_overlap", 0, 0.4)
@@ -244,6 +263,11 @@ def scenario_from_json(doc: dict) -> ScenarioSpec:
                        f"plans {planned:.3g} texts for {eid!r} in "
                        f"{period.render()}; at most {MAX_PLANNED_TEXTS} are "
                        f"allowed per (entity, period)")
+        # The spike multiplies the texts its (entity, period) had planned.
+        added = rate * product * (1 - 1 / events[i]["factor"])
+        total = _add_to_plan(total, added, f"events[{i}].factor")
+    for i, ev in enumerate(events):
+        total = _add_to_plan(total, ev.get("texts", 0), f"events[{i}].texts")
     return ScenarioSpec(seed, (start, end), g, users, list(entities.items()),
                         float(prob), float(overlap), events)
 

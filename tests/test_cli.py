@@ -168,6 +168,51 @@ def test_crafted_co_entity_is_a_json_error(tmp_path, capsys):
     assert "co-entity" in _error_line(capsys)["error"]
 
 
+
+# Counts that no archive can give, written into the one-text index of
+# test_crafted_co_entity_is_a_json_error: (section, offset in it, format,
+# value). A's posting opens POST: ordinal i32, texts u64 at 4, users u64 at
+# 12, attitude sum i64 at 20, sentimentality sum i64 at 28, strongly
+# positive u64 at 36 and negative u64 at 44, co-entity count u32 at 52, then
+# the co-entity B (u32 at 56, shared texts u64 at 60, attitude sum i64 at
+# 68). The month's slice follows SLIC's u32 count: ordinal i32, texts u64 at
+# 8, users u64 at 16.
+CRAFTED_COUNTS = {
+    "users_over_texts": [(b"POST", 12, "<Q", 2)],
+    "no_users": [(b"POST", 12, "<Q", 0)],
+    "texts_over_slice": [(b"POST", 4, "<Q", 2)],
+    "attitude_high": [(b"POST", 20, "<q", 5)],
+    "attitude_low": [(b"POST", 20, "<q", -5)],
+    "sentimentality_negative": [(b"POST", 28, "<q", -1)],
+    "sentimentality_high": [(b"POST", 28, "<q", 9)],
+    "strong_over_texts": [(b"POST", 44, "<Q", 1)],
+    "co_attitude": [(b"POST", 68, "<q", 5)],
+    "slice_no_users": [(b"SLIC", 16, "<Q", 0)],
+    "slice_users_over_texts": [(b"SLIC", 16, "<Q", 2)],
+    "all_at_once": [(b"POST", 12, "<Q", 9), (b"POST", 20, "<q", 40),
+                    (b"POST", 28, "<q", -3), (b"POST", 36, "<Q", 7),
+                    (b"POST", 44, "<Q", 7)],
+}
+
+
+@pytest.mark.parametrize("edits", CRAFTED_COUNTS.values(),
+                         ids=CRAFTED_COUNTS.keys())
+def test_crafted_counts_are_a_json_error(tmp_path, capsys, edits):
+    corpus = make_corpus([row("t1", "u1", "2015-07-05T10:00:00Z",
+                              [("A", 1.0), ("B", 1.0)], 3, -1)])
+    path = tmp_path / "x.epx"
+    ep.save(ep.build(corpus, ep.Granularity.MONTH, 2.0), path)
+    blob = bytearray(path.read_bytes())
+    for section, at, fmt, value in edits:
+        start, _ = epx_section(blob, section)
+        struct.pack_into(fmt, blob, start + at, value)
+    path.write_bytes(reseal_epx(blob))
+    assert cli.main(["network", "--index", str(path), "--entity", "A",
+                     "--period", "2015-07"]) == 1
+    assert "out of range" in _error_line(capsys)["error"]
+    assert cli.main(["inspect", "--index", str(path), "--verify"]) == 1
+    assert "out of range" in _error_line(capsys)["error"]
+
 def _index_file(tmp_path) -> Path:
     path = tmp_path / "archive.epx"
     assert cli.main(["index", "--input", str(_archive(tmp_path)),

@@ -7,6 +7,7 @@ exception escapes ``cli.main``. Diagnostics on stderr are JSON lines; a
 runtime failure (exit 1) ends them with exactly one ``error`` line.
 """
 
+import argparse
 import contextlib
 import gzip
 import io
@@ -15,6 +16,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -196,3 +198,27 @@ def test_every_command_line_keeps_the_exit_contract():
                 assert out == ""  # a failed command writes no result
 
         check()
+
+
+@pytest.mark.parametrize("command", sorted(GRAMMAR))
+def test_each_subcommand_takes_and_requires_its_grammar(tmp_path, command):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {flag for action in sub.choices[command]._actions
+             for flag in action.option_strings if flag != "-h"}
+    assert flags == set(GRAMMAR[command]) | set(COMMON) | {"--help"}
+    missing = str(tmp_path / "missing")
+    for flag in GRAMMAR[command]:
+        argv = [command]
+        for other in sorted(REQUIRED[command] - {flag}):
+            argv += [other, "attitude" if other == "--measure" else missing]
+        code, _, err = _run(argv)
+        if flag in REQUIRED[command]:  # a usage error that names it
+            assert code == 2
+            assert err.endswith(f": error: missing required option {flag}\n")
+        else:  # the command runs, and fails on the missing file
+            assert code == 1, err
+    if "--granularity" in GRAMMAR[command]:
+        code, _, err = _run([command, "--granularity", "decade"])
+        assert code == 2
+        assert "--granularity: invalid choice: 'decade'" in err

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import entity_pulse as ep
 from entity_pulse import cli
-from entity_pulse.synth import (EVENT_KINDS, MAX_PLANNED_TEXTS, SplitMix64,
-                                class_pools)
+from entity_pulse.synth import (EVENT_KINDS, MAX_PLANNED_TEXTS,
+                                MAX_SCENARIO_TEXTS, SplitMix64, class_pools)
 
 from helpers import make_corpus, month, window
 
@@ -166,6 +166,40 @@ class TestValidation:
         doc["events"].append(spike(1.5))
         with pytest.raises(ep.ScenarioError, match=r"events\[1\]\.factor"):
             ep.scenario_from_json(doc)
+
+    def test_whole_plan_is_bounded_at_the_field_that_passes_it(self):
+        # Two entities at the per-period bound every day of 2015-2016 plan
+        # 1.46e9 rows; the first alone passes the bound.
+        doc = doc_with(granularity="day",
+                       window={"from": "2015-01-01", "to": "2017-01-01"},
+                       entities=[{"id": "ent:A", "rate": MAX_PLANNED_TEXTS},
+                                 {"id": "ent:B", "rate": MAX_PLANNED_TEXTS}])
+        with pytest.raises(ep.ScenarioError,
+                           match=r"^entities\[0\]\.rate: plans 7\.31e\+08 "
+                                 r"texts in all; at most"):
+            ep.scenario_from_json(doc)
+
+    @pytest.mark.parametrize("events,needle", [
+        ([dict(spike(10**5), entity=e) for e in "ABC"], None),
+        ([dict(spike(10**5), entity=e) for e in "ABCD"], "events[3].factor"),
+        ([{"kind": "spam-block", "period": "2015-03",
+           "texts": MAX_PLANNED_TEXTS}], None),
+        ([{"kind": "spam-block", "period": "2015-03",
+           "texts": MAX_PLANNED_TEXTS}] * 2, "events[1].texts"),
+    ])
+    def test_whole_plan_bound_counts_spikes_and_event_texts(self, events,
+                                                            needle):
+        # Five entities at rate 5 a month: 300 texts before the events, and
+        # 5e5 more per spike, each under the per-(entity, period) bound.
+        doc = doc_with(entities=[{"id": c, "rate": 5} for c in "ABCDE"],
+                       events=events)
+        if needle is None:
+            ep.scenario_from_json(doc)
+            return
+        with pytest.raises(ep.ScenarioError) as err:
+            ep.scenario_from_json(doc)
+        assert str(err.value).startswith(f"{needle}: plans ")
+        assert f"at most {MAX_SCENARIO_TEXTS} are allowed" in str(err.value)
 
     @pytest.mark.parametrize("event", [
         {"kind": "controversy-burst", "entity": "ent:A"},
