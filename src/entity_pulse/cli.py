@@ -170,6 +170,9 @@ def _cmd_topk(args):
 
 def _cmd_connectedness(args):
     others = [o for o in args.other.split(",") if o]
+    if len(others) > 1 and args.kind != "direct":
+        args.subparser.error(f"--kind {args.kind} takes one --other entity; "
+                             "connectedness to a set is direct only")
     index, window = _open_query(args, others)
     rows: list[str] = []  # rendered as built: no list of records is held
     for period in enumerate_periods(window[0], window[1], index.granularity):

@@ -7,8 +7,9 @@ and signed co-occurrence pairs are recovered by the corresponding queries.
 Determinism contract: identical (scenario, seed) pairs produce
 byte-identical corpus rows and manifests. All randomness comes from one
 splitmix64 stream (documented below) consumed in a fixed order: periods
-chronologically; within a period the roster entities in listed order (one
-text per rate unit), then the period's events in listed order. Draw order
+chronologically; within a period the roster entities in listed order (the
+texts scenario_from_json planned for each: its rate, times its spikes'
+factors), then the period's other events in listed order. Draw order
 per base text: user, timestamp offset, attitude, confidences, then extra
 mentions. Because the generator is fully specified, any implementation of
 the same constants reproduces the same corpus.
@@ -25,7 +26,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Iterator
 
 from .corpus import _escape_entity, _record_line, read_json, write_lines
 from .timeline import (Granularity, Period, enumerate_periods,
@@ -107,7 +107,10 @@ class ScenarioSpec:
     window: tuple[datetime, datetime]
     granularity: Granularity
     users: int
-    entities: list[tuple[str, list[int]]]  # (id, per-period rates)
+    # (id, texts per period). scenario_from_json stores each rate with its
+    # spikes applied, a spike needing at least one text to multiply;
+    # generate() emits these counts as given and spikes none itself.
+    entities: list[tuple[str, list[int]]]
     extra_mention_prob: float = 0.0
     vocab_overlap: float = 0.2
     events: list[dict] = field(default_factory=list)
@@ -174,19 +177,6 @@ def _validate_event(ev: dict, i: int, periods: list[Period],
     return out
 
 
-def _spike_products(events: list[dict]
-                    ) -> Iterator[tuple[int, tuple[str, Period], float]]:
-    """``(i, (entity, period), product)`` for each popularity spike
-    ``events[i]``: the product of the factors its (entity, period) has
-    gained so far, this spike's included."""
-    products: dict[tuple[str, Period], float] = {}
-    for i, ev in enumerate(events):
-        if ev["kind"] == "popularity-spike":
-            key = (ev["entity"], ev["period"])
-            products[key] = products.get(key, 1.0) * ev["factor"]
-            yield i, key, products[key]
-
-
 def _add_to_plan(total: float, texts: float, path: str) -> float:
     """``total + texts``; a ScenarioError naming ``path`` if that passes
     MAX_SCENARIO_TEXTS."""
@@ -204,9 +194,12 @@ def scenario_from_json(doc: dict) -> ScenarioSpec:
     fault (``seed``, ``window.from``, ``events[0].factor``); a rule that
     ties two fields names one. The window tokens and periods are checked as
     one (``window: ...``), and a non-object fails as ``scenario: ...``.
-    The texts planned in all are summed over the entities' rates, then the
-    spikes' factors, then the other events' texts; the field at which the
-    sum passes MAX_SCENARIO_TEXTS is named.
+    A popularity spike multiplies the texts its (entity, period) has, so
+    it must plan at least one text there. Each entity's texts per period
+    are stored with its spikes applied. The texts planned in all are summed
+    over the entities' rates, then the spikes' factors, then the other
+    events' texts; the field at which the sum passes MAX_SCENARIO_TEXTS is
+    named.
     """
     if not isinstance(doc, dict):
         raise ScenarioError("scenario: must be a JSON object")
@@ -255,17 +248,25 @@ def scenario_from_json(doc: dict) -> ScenarioSpec:
         raise _err("events", "must be a list")
     events = [_validate_event(ev, i, periods, g)
               for i, ev in enumerate(raw_events)]
-    for i, (eid, period), product in _spike_products(events):
-        rate = entities[eid][periods.index(period)] if eid in entities else 0
-        planned = max(rate, 1) * product
-        if planned > MAX_PLANNED_TEXTS:
+    # Each spiked (entity, period index): its factors' product so far.
+    products: dict[tuple[str, int], float] = {}
+    for i, ev in enumerate(events):
+        if ev["kind"] != "popularity-spike":
+            continue
+        eid, pi = key = ev["entity"], periods.index(ev["period"])
+        product = products[key] = products.get(key, 1.0) * ev["factor"]
+        planned = (entities[eid][pi] if eid in entities else 0) * product
+        if not 1 <= planned <= MAX_PLANNED_TEXTS:
             raise _err(f"events[{i}].factor",
                        f"plans {planned:.3g} texts for {eid!r} in "
-                       f"{period.render()}; at most {MAX_PLANNED_TEXTS} are "
-                       f"allowed per (entity, period)")
+                       f"{ev['period'].render()}; a spike multiplies the "
+                       f"texts its entity has there, so it must plan from 1 "
+                       f"to {MAX_PLANNED_TEXTS}")
         # The spike multiplies the texts its (entity, period) had planned.
-        added = rate * product * (1 - 1 / events[i]["factor"])
-        total = _add_to_plan(total, added, f"events[{i}].factor")
+        total = _add_to_plan(total, planned * (1 - 1 / ev["factor"]),
+                             f"events[{i}].factor")
+    for (eid, pi), product in products.items():
+        entities[eid][pi] = int(round(entities[eid][pi] * product))
     for i, ev in enumerate(events):
         total = _add_to_plan(total, ev.get("texts", 0), f"events[{i}].texts")
     return ScenarioSpec(seed, (start, end), g, users, list(entities.items()),
@@ -313,20 +314,19 @@ def _phrase(rng: SplitMix64, pool: list[str]) -> str:
                     for _ in range(8 + rng.below(8)))
 
 
-class _Emitter:
-    def __init__(self, spec: ScenarioSpec, with_text: bool) -> None:
-        self.rng = SplitMix64(spec.seed)
-        self.spec = spec
-        self.with_text = with_text
-        self.rows: list[str] = []
-        self.counter = 0
-        self.spam_pool, self.ham_pool = class_pools(spec.vocab_overlap)
+def generate(spec: ScenarioSpec) -> tuple[list[str], dict]:
+    """Produce corpus CSV rows and the ground-truth manifest."""
+    periods = enumerate_periods(spec.window[0], spec.window[1],
+                                spec.granularity)
+    roster = [eid for eid, _ in spec.entities]
+    with_text = any(ev["kind"] == "spam-block" for ev in spec.events)
+    rng = SplitMix64(spec.seed)
+    spam_pool, ham_pool = class_pools(spec.vocab_overlap)
+    rows: list[str] = []
 
-    def emit(self, period: Period, mentions: list[str], phi: int | None,
-             text_kind: str | None) -> None:
-        rng = self.rng
-        self.counter += 1
-        user = f"u{rng.below(self.spec.users):05d}"
+    def emit(period: Period, mentions: list[str], phi: int | None,
+             spam: bool = False) -> None:
+        user = f"u{rng.below(spec.users):05d}"
         span = int((period.end - period.start).total_seconds())
         ts = period.start + timedelta(seconds=rng.below(span))
         if phi is None:
@@ -334,73 +334,40 @@ class _Emitter:
         pos, neg = _scores_for(phi)
         parts = [(_escape_entity(m), round(-5.0 + 8.0 * rng.uniform(), 3))
                  for m in mentions]
-        text = None
-        if self.with_text:
-            text = _phrase(rng, self.spam_pool if text_kind == "spam"
-                           else self.ham_pool)
-        self.rows.append(_record_line(f"t{self.counter:08d}", user, ts, parts,
-                                      pos, neg, text))
+        text = (_phrase(rng, spam_pool if spam else ham_pool) if with_text
+                else None)
+        rows.append(_record_line(f"t{len(rows) + 1:08d}", user, ts, parts,
+                                 pos, neg, text))
 
-
-def generate(spec: ScenarioSpec) -> tuple[list[str], dict]:
-    """Produce corpus CSV rows and the ground-truth manifest."""
-    periods = enumerate_periods(spec.window[0], spec.window[1],
-                                spec.granularity)
-    roster = [eid for eid, _ in spec.entities]
-    with_text = any(ev["kind"] == "spam-block" for ev in spec.events)
-    emitter = _Emitter(spec, with_text)
-    rng = emitter.rng
-    spam_rows = 0
-    manifest_events: list[dict] = []
-
-    spikes = {key: product
-              for _, key, product in _spike_products(spec.events)}
-
+    # The events that plant texts of their own; spikes are in the entities'.
     by_period: dict[Period, list[dict]] = {}
     for ev in spec.events:
-        by_period.setdefault(ev["period"], []).append(ev)
+        if "texts" in ev:
+            by_period.setdefault(ev["period"], []).append(ev)
 
     for pi, period in enumerate(periods):
-        for eid, rates in spec.entities:
-            n = rates[pi]
-            factor = spikes.get((eid, period))
-            if factor is not None:
-                n = int(round(n * factor))
-            for _ in range(n):
+        for eid, texts in spec.entities:
+            for _ in range(texts[pi]):
                 mentions = [eid]
                 while (len(mentions) < 4 and roster
                        and rng.uniform() < spec.extra_mention_prob):
                     cand = roster[rng.below(len(roster))]
                     if cand not in mentions:
                         mentions.append(cand)
-                emitter.emit(period, mentions, None, None)
+                emit(period, mentions, None)
         for ev in by_period.get(period, ()):
             kind = ev["kind"]
-            if kind == "controversy-burst":
-                for j in range(ev["texts"]):
-                    emitter.emit(period, [ev["entity"]],
-                                 3 if j % 2 == 0 else -3, None)
-            elif kind == "pair-link":
-                for _ in range(ev["texts"]):
-                    emitter.emit(period, [ev["a"], ev["b"]], 0, None)
-            elif kind == "signed-pair":
-                for _ in range(ev["texts"]):
-                    emitter.emit(period, [ev["a"], ev["b"]],
-                                 ev["attitude"], None)
-            elif kind == "spam-block":
-                for _ in range(ev["texts"]):
-                    emitter.emit(period, [], 0, "spam")
-                spam_rows += ev["texts"]
-
-    for ev in spec.events:
-        entry = {k: v for k, v in ev.items() if k != "period"}
-        entry["period"] = ev["period"].render()
-        manifest_events.append(entry)
+            mentions = [ev[key] for key in _EVENT_ENTITY_KEYS[kind]]
+            for j in range(ev["texts"]):
+                phi = ((3 if j % 2 == 0 else -3) if kind == "controversy-burst"
+                       else ev.get("attitude", 0))
+                emit(period, mentions, phi, kind == "spam-block")
 
     manifest = {
         "seed": spec.seed,
-        "rows": len(emitter.rows),
-        "spam_rows": spam_rows,
+        "rows": len(rows),
+        "spam_rows": sum(ev["texts"] for ev in spec.events
+                         if ev["kind"] == "spam-block"),
         "window": {"from": spec.window[0].date().isoformat(),
                    "to": spec.window[1].date().isoformat()},
         "granularity": spec.granularity.value,
@@ -408,11 +375,10 @@ def generate(spec: ScenarioSpec) -> tuple[list[str], dict]:
         "entities": roster,
         "users": spec.users,
         "with_text": with_text,
-        "events": manifest_events,
+        "events": [{k: v for k, v in ev.items() if k != "period"}
+                   | {"period": ev["period"].render()} for ev in spec.events],
     }
-    if not emitter.rows:
-        manifest["events"] = []
-    return emitter.rows, manifest
+    return rows, manifest
 
 
 def write_corpus(spec: ScenarioSpec, corpus_path, manifest_path=None) -> dict:

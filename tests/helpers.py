@@ -90,6 +90,13 @@ def random_scenario_doc(rng: random.Random, n_texts_hint: int,
                 if kind == "signed-pair":
                     ev["attitude"] = rng.choice([-4, -3, -2, 2, 3, 4])
                 events.append(ev)
+    # A spike needs texts to multiply: drop those on a rate-0 month. This
+    # draws nothing, so the rest of the document, and its rows, stay as
+    # they were drawn.
+    monthly = {e["id"]: e["rate"] if isinstance(e["rate"], list)
+               else [e["rate"]] * 12 for e in entities}
+    events = [ev for ev in events if ev["kind"] != "popularity-spike"
+              or monthly[ev["entity"]][int(ev["period"][5:]) - 1]]
     return {
         "seed": rng.randrange(2 ** 32),
         "window": {"from": "2015-01-01", "to": "2016-01-01"},

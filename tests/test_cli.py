@@ -360,6 +360,48 @@ def test_query_defaults_to_its_index_granularity(tmp_path, capsys, query):
         "index granularity is day, queried month"
 
 
+def _set_query(tmp_path, capsys) -> list[str]:
+    """A connectedness query from ent:A to the set {ent:B, ent:C} over a
+    month index. ent:A has 4 texts in January, 2 shared with ent:B and 1
+    with ent:C; 1 text in February, shared with ent:C; none in March."""
+    a, b, c = ("ent:A", 1.0), ("ent:B", 1.0), ("ent:C", 1.0)
+    rows = [row("t1", "u1", "2015-01-05T00:00:00Z", [a, b], 1, -1),
+            row("t2", "u1", "2015-01-06T00:00:00Z", [a, b, c], 1, -1),
+            row("t3", "u2", "2015-01-07T00:00:00Z", [a], 1, -1),
+            row("t4", "u2", "2015-01-08T00:00:00Z", [a], 1, -1),
+            row("t5", "u2", "2015-02-03T00:00:00Z", [a, c], 1, -1),
+            row("t6", "u3", "2015-03-03T00:00:00Z", [b], 1, -1)]
+    archive, index = tmp_path / "set.csv", tmp_path / "set.epx"
+    archive.write_text("\n".join(rows) + "\n")
+    assert cli.main(["index", "--input", str(archive),
+                     "--output", str(index)]) == 0
+    capsys.readouterr()
+    return ["connectedness", "--index", str(index), "--entity", "ent:A",
+            "--other", "ent:B,ent:C", "--from", "2015-01", "--to", "2015-04"]
+
+
+def test_connectedness_to_a_set_is_the_mean_direct_share(tmp_path, capsys):
+    assert cli.main(_set_query(tmp_path, capsys)) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        'ent:A,"ent:B,ent:C",2015-01-01,2015-02-01,set,0.375',
+        'ent:A,"ent:B,ent:C",2015-02-01,2015-03-01,set,0.5',
+        'ent:A,"ent:B,ent:C",2015-03-01,2015-04-01,set,']
+
+
+@pytest.mark.parametrize("kind", ["indirect", "both"])
+def test_connectedness_to_a_set_takes_no_indirect_kind(tmp_path, capsys,
+                                                       kind):
+    argv = _set_query(tmp_path, capsys) + ["--kind", kind]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"epx connectedness: error: --kind {kind} takes one --other entity; "
+        "connectedness to a set is direct only")
+
+
 def _model_doc(tmp_path) -> dict:
     path = tmp_path / "model.json"
     ep.save_model(ep.train(ep.generate_labeled_docs(20, overlap=0.2, seed=1)),

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import re
@@ -91,6 +92,81 @@ class TestDeterminism:
         assert stats.rejected_count == 0
         assert stats.record_count == manifest["rows"] == len(rows)
         assert sorted(corpus.entities) == sorted(ids)
+
+
+# Every event kind, two spikes on one (entity, period), a per-period rate
+# list, an id that needs escaping, and a spam block so rows carry text.
+GOLDEN_DOC = {
+    "seed": 2024,
+    "window": {"from": "2015-01-01", "to": "2015-05-01"},
+    "granularity": "month",
+    "users": 7,
+    "extra_mention_prob": 0.3,
+    "vocab_overlap": 0.25,
+    "entities": [{"id": "ent:A", "rate": 3},
+                 {"id": "ent:B,%;x", "rate": [2, 0, 1, 4]}],
+    "events": [
+        {"kind": "popularity-spike", "entity": "ent:A", "period": "2015-02",
+         "factor": 1.5},
+        {"kind": "controversy-burst", "entity": "ent:B,%;x",
+         "period": "2015-03", "texts": 3},
+        {"kind": "pair-link", "a": "ent:A", "b": "ent:C", "period": "2015-01",
+         "texts": 2},
+        {"kind": "popularity-spike", "entity": "ent:A", "period": "2015-02",
+         "factor": 1.7},
+        {"kind": "signed-pair", "a": "ent:A", "b": "ent:B,%;x",
+         "period": "2015-04", "texts": 2, "attitude": -3},
+        {"kind": "spam-block", "period": "2015-02", "texts": 3},
+    ],
+}
+
+
+class TestGoldenBytes:
+    def test_generate_output_is_pinned(self):
+        # The generator is fully specified, so its bytes may not drift.
+        rows, manifest = ep.generate(ep.scenario_from_json(GOLDEN_DOC))
+        blob = "\n".join(rows) + "\n" + json.dumps(manifest)
+        assert (len(rows), manifest["spam_rows"]) == (34, 3)
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "cffa57cb74ff7d0571dfddfd18981d80496d3f8eb97a1e315c0e7cbff4955e78")
+
+    def test_spikes_are_applied_to_the_plan(self):
+        spec = ep.scenario_from_json(GOLDEN_DOC)
+        # ent:A: 3 texts a month, times 1.5 * 1.7 in February, rounded.
+        assert spec.entities == [("ent:A", [3, 8, 3, 3]),
+                                 ("ent:B,%;x", [2, 0, 1, 4])]
+
+
+class TestSpikesNeedTexts:
+    # A factor-50 spike on an entity that has no rate.
+    UNKNOWN_ENTITY = doc_with(
+        window={"from": "2015-01-01", "to": "2015-04-01"},
+        entities=[{"id": "ent:A", "rate": 2}],
+        events=[dict(spike(50), entity="ent:Z")])
+    # A spike on a month in which its entity's rate is 0.
+    RATE_ZERO = doc_with(entities=[{"id": "ent:A", "rate": [4, 0] + [4] * 10}],
+                         events=[spike(3)])
+
+    @pytest.mark.parametrize("doc,entity", [(UNKNOWN_ENTITY, "ent:Z"),
+                                            (RATE_ZERO, "ent:A")],
+                             ids=["unknown-entity", "rate-zero-month"])
+    def test_a_spike_that_plants_nothing_is_refused(self, doc, entity):
+        with pytest.raises(ep.ScenarioError) as err:
+            ep.scenario_from_json(doc)
+        assert str(err.value).startswith(
+            f"events[0].factor: plans 0 texts for {entity!r} in 2015-02")
+
+    def test_generate_refuses_it_as_a_json_error(self, tmp_path, capsys):
+        spec, out = tmp_path / "scenario.json", tmp_path / "corpus.csv"
+        spec.write_text(json.dumps(self.UNKNOWN_ENTITY))
+        assert cli.main(["generate", "--spec", str(spec),
+                         "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert json.loads(line)["error"].startswith(
+            "events[0].factor: plans 0 texts")
+        assert not out.exists()
 
 
 class TestEmptyScenario:
