@@ -1,8 +1,7 @@
 """Entity-centric temporal analytics over sentiment-annotated text archives."""
 
-from .corpus import (AnnotatedText, Corpus, CorpusStats, EntityMention,
-                     IngestError, Rejection, SentimentScores, ingest,
-                     parse_record, serialize_record)
+from .corpus import (AnnotatedText, Corpus, CorpusStats, IngestError,
+                     Rejection, ingest, parse_record)
 from .index import (EntityIndex, EntityPosting, IndexFormatError, build,
                     inspect_file, load, save)
 from .measures import (MEASURES, MeasurePoint, RankedPeriods, attitude,
@@ -20,17 +19,16 @@ from .timeline import Granularity, Period, enumerate_periods, period_of
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnotatedText", "Corpus", "CorpusStats", "EntityIndex", "EntityMention",
-    "EntityPosting", "Granularity", "IndexFormatError", "IngestError",
-    "MEASURES", "MeasurePoint", "NBModel", "Period",
-    "RankedNetwork", "RankedPeriods", "Rejection", "ScenarioError",
-    "ScenarioSpec", "SentimentScores", "SplitMix64", "attitude", "build",
-    "classify", "connectedness_to_set", "controversiality",
+    "AnnotatedText", "Corpus", "CorpusStats", "EntityIndex", "EntityPosting",
+    "Granularity", "IndexFormatError", "IngestError", "MEASURES",
+    "MeasurePoint", "NBModel", "Period", "RankedNetwork", "RankedPeriods",
+    "Rejection", "ScenarioError", "ScenarioSpec", "SplitMix64", "attitude",
+    "build", "classify", "connectedness_to_set", "controversiality",
     "direct_connectedness", "enumerate_periods", "filter_rows", "generate",
     "generate_labeled_docs", "indirect_connectedness", "ingest",
     "inspect_file", "k_network", "load", "load_model", "load_scenario",
     "parse_record", "period_of", "popularity_c", "popularity_cu",
     "popularity_u", "save", "save_model", "scenario_from_json",
-    "sentimentality", "series", "serialize_record", "signed_k_network",
-    "top_k_periods", "train", "write_corpus",
+    "sentimentality", "series", "signed_k_network", "top_k_periods", "train",
+    "write_corpus",
 ]

@@ -14,11 +14,13 @@ Row schema (RFC-4180 quoting)::
 * ``mentions`` holds ``entity_id:confidence`` pairs joined by ``;``. Entity
   ids are percent-escaped so that ``%`` ``:`` ``;`` ``,`` and newlines never
   appear raw; identity is the exact decoded string (no case folding).
-  Duplicate mentions of one entity collapse to the max confidence.
+  Duplicate mentions of one entity collapse to the max confidence, so a
+  NaN confidence, which has no order, rejects the row; ``inf`` is kept.
 * ``positive`` is an integer in [1, 5], ``negative`` in [-5, -1].
 * the optional seventh ``text`` column carries raw text for spam filtering;
   the archive format omits it by default.
 
+A valid row reads as one flat :class:`AnnotatedText` of its columns.
 Malformed rows never abort ingestion: each yields a :class:`Rejection` with
 the row number and a stable reason string, accumulated on the corpus. A
 NUL character is read like any other, so an id may hold one.
@@ -64,35 +66,27 @@ class IngestError(Exception):
 
 
 @dataclass(frozen=True, slots=True)
-class EntityMention:
-    entity_id: str
-    confidence: float
-
-
-@dataclass(frozen=True, slots=True)
-class SentimentScores:
-    positive: int  # [1, 5]
-    negative: int  # [-5, -1]
-
-
-@dataclass(frozen=True, slots=True)
 class AnnotatedText:
+    """A valid row's fields in column order, ``mentions`` as ``(entity,
+    confidence)`` pairs; a NaN confidence rejects the row, so none is here."""
+
     text_id: str
     user_id: str
     timestamp: datetime
-    mentions: tuple[EntityMention, ...]
-    sentiment: SentimentScores
-    text: str | None = None
+    mentions: tuple[tuple[str, float], ...]
+    positive: int  # [1, 5]
+    negative: int  # [-5, -1]
+    text: str | None
 
     @property
     def attitude(self) -> int:
         """Predominant sentiment of the text: positive + negative, in [-4, 4]."""
-        return self.sentiment.positive + self.sentiment.negative
+        return self.positive + self.negative
 
     @property
     def sentimentality(self) -> int:
         """Magnitude of sentiment: positive - negative - 2, in [0, 8]."""
-        return self.sentiment.positive - self.sentiment.negative - 2
+        return self.positive - self.negative - 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,6 +157,8 @@ def _parse_mentions(raw: str, decoded: dict[str, str]
             conf = float(tail)
         except ValueError:
             return None
+        if conf != conf:  # NaN: no max is defined over it
+            return None
         entity = decoded.get(head)
         if entity is None:
             entity = decoded[head] = unquote(head) if "%" in head else head
@@ -216,10 +212,7 @@ def parse_record(line: str, row: int = 0) -> AnnotatedText | Rejection:
     parsed = _convert(fields, {})
     if isinstance(parsed, str):
         return Rejection(row, parsed)
-    text_id, user_id, ts, mentions, pos, neg, text = parsed
-    return AnnotatedText(text_id, user_id, ts,
-                         tuple(EntityMention(e, c) for e, c in mentions),
-                         SentimentScores(pos, neg), text)
+    return AnnotatedText(*parsed)
 
 
 def _record_line(text_id, user_id, ts, mentions, pos, neg, text) -> str:
@@ -231,14 +224,6 @@ def _record_line(text_id, user_id, ts, mentions, pos, neg, text) -> str:
     if text is not None:
         fields.append(text)
     return csv_line(fields)
-
-
-def serialize_record(record: AnnotatedText) -> str:
-    """Canonical CSV form of a record (inverse of :func:`parse_record`)."""
-    return _record_line(record.text_id, record.user_id, record.timestamp,
-                        [(_escape_entity(m.entity_id), m.confidence)
-                         for m in record.mentions], record.sentiment.positive,
-                        record.sentiment.negative, record.text)
 
 
 # Internal compact row: ids interned to ints for fast aggregation.
@@ -326,15 +311,12 @@ class Corpus:
         return CorpusStats(self._size, len(self.rejections),
                            len(self.users), span)
 
-    def _record(self, row: Row) -> AnnotatedText:
-        return AnnotatedText(
-            row[0], self.users[row[1]], row[2],
-            tuple(EntityMention(self.entities[e], c) for e, c in row[3]),
-            SentimentScores(row[4], row[5]), row[8])
-
     def records(self) -> Iterator[AnnotatedText]:
         """All records as public objects, in time order."""
-        return map(self._record, self._rows)
+        users, entities = self.users, self.entities
+        for r in self._rows:
+            yield AnnotatedText(r[0], users[r[1]], r[2], tuple(
+                (entities[e], c) for e, c in r[3]), r[4], r[5], r[8])
 
 
 def csv_rows(source) -> Iterator[tuple[int, list[str]]]:

@@ -26,6 +26,8 @@ second user.
 The build is one serial pass. :func:`build` runs it over an ingested
 corpus; :func:`build_streaming` runs it straight over a CSV source, so the
 archive itself is never held in memory. Both give identical indexes.
+The bytes :func:`save` writes are an index's canonical form: two indexes
+answer every query alike exactly when they save to equal bytes.
 
 Postings are kept entity first, ``{entity id: {period start: posting}}``,
 because every query reads one entity's postings (or a pair's, or a set's)
@@ -93,7 +95,6 @@ class EntityPosting:
     strong_pos_count: int
     strong_neg_count: int
     cooccur: dict[str, tuple[int, int]]  # co-entity -> (texts, attitude sum)
-    neighbor_entities: frozenset[str]
 
 
 class EntityIndex:
@@ -173,11 +174,9 @@ class EntityIndex:
         raw = self.posting_counts(entity, period)
         if raw is None:
             return None
-        names = self.entities
-        cooccur = {names[e]: (c, a) for e, c, a in raw[_CO]}
+        cooccur = {self.entities[e]: (c, a) for e, c, a in raw[_CO]}
         return EntityPosting(entity, period, raw[_TC], raw[_USERS], raw[_ATT],
-                             raw[_SENT], raw[_POS], raw[_NEG], cooccur,
-                             frozenset(cooccur).union((entity,)))
+                             raw[_SENT], raw[_POS], raw[_NEG], cooccur)
 
     def periods(self) -> list[Period]:
         """All non-empty periods, chronological."""
@@ -186,25 +185,6 @@ class EntityIndex:
 
     def posting_count(self) -> int:
         return self._posting_total
-
-    def dump(self) -> dict:
-        """Every slice and every posting as plain data, in canonical order.
-
-        Decodes every block of a loaded index. Two indexes answer every
-        query alike exactly when their dumps are equal.
-        """
-        return {
-            "granularity": self.granularity.value,
-            "delta": self.delta,
-            "entities": list(self.entities),
-            "posting_count": self._posting_total,
-            "slices": [(d.isoformat(), *self.slices[d])
-                       for d in sorted(self.slices)],
-            "postings": [(eid, d.isoformat(), *p[:_CO], list(p[_CO]))
-                         for eid in range(len(self.entities))
-                         for d, p in sorted(
-                             self._entity_postings(eid).items())],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +472,7 @@ def _block_chunks(index: EntityIndex, directory: list[tuple[int, int]]
 
 
 def save(index: EntityIndex, path) -> None:
-    """Write the index as a self-describing EPX2 container (atomic)."""
+    """Write the index as its canonical EPX2 container (atomic)."""
     sdic = bytearray(_U32.pack(len(index.entities)))
     for name in index.entities:
         raw = name.encode("utf-8")

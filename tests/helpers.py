@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import struct
 import zlib
+from collections import namedtuple
 from datetime import datetime, timezone
 
 import entity_pulse as ep
@@ -35,12 +36,21 @@ def make_corpus(rows, min_confidence=None):
     return corpus
 
 
+# What ``oracle`` reads of a record, as ``benchmarks/gate.py`` builds it.
+Mention = namedtuple("Mention", "entity_id")
+Record = namedtuple("Record", "user_id timestamp mentions attitude "
+                              "sentimentality")
+
+
 def records_of(rows):
+    """Oracle records of ``rows``, each of which must parse."""
     out = []
     for line in rows:
         rec = ep.parse_record(line)
         assert isinstance(rec, ep.AnnotatedText), rec
-        out.append(rec)
+        out.append(Record(rec.user_id, rec.timestamp,
+                          tuple(Mention(e) for e, _ in rec.mentions),
+                          rec.attitude, rec.sentimentality))
     return out
 
 
@@ -123,6 +133,12 @@ def build_random_corpus(seed: int, n_texts_hint: int, **kwargs):
 # documents it: a 22-byte header holding the payload's CRC32 at byte 16 and
 # the section count at byte 20, then one 20-byte table entry per section.
 _EPX_HEADER, _EPX_ENTRY = 22, struct.Struct("<4sQQ")
+
+
+def epx_bytes(index, path) -> bytes:
+    """The bytes ``index`` saves to at ``path``: its canonical form."""
+    ep.save(index, path)
+    return path.read_bytes()
 
 
 def epx_section(blob, tag: bytes) -> tuple[int, int]:

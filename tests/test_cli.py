@@ -597,6 +597,23 @@ def test_nan_min_confidence_is_a_json_error(tmp_path, capsys, command, via):
     assert not out.exists()
 
 
+def test_a_nan_mention_confidence_rejects_its_row(tmp_path, capsys):
+    archive, path = tmp_path / "archive.csv", tmp_path / "idx.epx"
+    archive.write_text('t1,u1,2015-07-05T10:00:00Z,"e:nan;e:1.0",1,-1\n'
+                       't2,u2,2015-07-05T11:00:00Z,"e:0.9;f:0.9",1,-1\n',
+                       encoding="utf-8")
+    assert cli.main(["index", "--input", str(archive), "--output", str(path),
+                     "--granularity", "day", "--min-confidence", "0.5"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["record_count"] == 1
+    assert summary["rejected_by_reason"] == {REASON_MENTIONS: 1}
+    assert cli.main(["series", "--index", str(path), "--entity", "e",
+                     "--measure", "popularity_c", "--from", "2015-07-05",
+                     "--to", "2015-07-06"]) == 0
+    assert capsys.readouterr().out == \
+        "e,2015-07-05,2015-07-06,popularity_c,1.0,1\n"
+
+
 def test_filter_of_a_textless_archive_is_a_json_error(tmp_path, capsys):
     model = tmp_path / "model.json"
     ep.save_model(ep.train(ep.generate_labeled_docs(20, overlap=0.2, seed=1)),

@@ -17,8 +17,9 @@ from entity_pulse import measures, relations
 from entity_pulse.index import IndexFormatError, build_streaming
 
 import oracle
-from helpers import (build_random_corpus, epx_section, make_corpus, month,
-                     phi_row, records_of, reseal_epx, row, window)
+from helpers import (build_random_corpus, epx_bytes, epx_section,
+                     make_corpus, month, phi_row, records_of, reseal_epx, row,
+                     window)
 
 
 def build(corpus, delta=2.0, **kwargs):
@@ -37,7 +38,6 @@ class TestBuildBasics:
         assert a.text_count == b.text_count == 1
         assert a.cooccur == {"B": (1, 2)}
         assert b.cooccur == {"A": (1, 2)}
-        assert a.neighbor_entities == {"A", "B"}
 
     def test_distinct_user_semantics(self):
         corpus = make_corpus([
@@ -112,7 +112,7 @@ def assert_matches_oracle(idx, records, delta, periods):
             assert got.strong_pos_count == want["strong_pos_count"]
             assert got.strong_neg_count == want["strong_neg_count"]
             assert got.cooccur == want["cooccur"]
-            assert got.neighbor_entities == want["neighbor_entities"]
+            assert set(got.cooccur) | {entity} == want["neighbor_entities"]
             assert got.text_count <= got_slice[0]
 
 
@@ -133,11 +133,12 @@ class TestOracleEquivalence:
         assert periods  # non-empty corpus
         assert_matches_oracle(idx, records, 1.0, periods)
 
-    def test_build_deterministic(self):
+    def test_build_deterministic(self, tmp_path):
         _, corpus, _ = build_random_corpus(3, 400)
         a = build(corpus)
         b = build(corpus)
-        assert a.dump() == b.dump()
+        assert epx_bytes(a, tmp_path / "a.epx") == \
+            epx_bytes(b, tmp_path / "b.epx")
 
 
 class TestDeltaMonotonicity:
@@ -240,7 +241,8 @@ class TestSmallGroups:
                         for e in "ABC"] == [(), (), ((3, 1, 2),)]
             assert loaded.posting("C", month(2015, 7)).cooccur == \
                 {"D": (1, 2)}
-            assert loaded.dump() == idx.dump()
+            assert epx_bytes(loaded, tmp_path / "again.epx") == \
+                path.read_bytes()
 
     def test_build_holds_little_per_single_user_posting(self, tmp_path):
         # A year of days, 20 entities at one text a day among 2000 users:
@@ -262,9 +264,10 @@ class TestSmallGroups:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        postings = idx.dump()["postings"]
+        postings = [p for e in idx.entities
+                    for p in idx.entity_postings(e).values()]
         assert len(postings) == idx.posting_count() == 7300
-        single = sum(1 for p in postings if p[3] == 1)
+        single = sum(1 for p in postings if p[1] == 1)
         assert single > 0.85 * len(postings)
         assert peak < 600 * len(postings)
 
@@ -286,7 +289,7 @@ class TestPersistence:
         path = tmp_path / "idx.epx"
         ep.save(idx, path)
         again = ep.load(path)
-        assert again.dump() == idx.dump()
+        assert epx_bytes(again, tmp_path / "again.epx") == path.read_bytes()
         assert again.entities == idx.entities
         assert (again.granularity, again.delta) == (idx.granularity, idx.delta)
 
@@ -380,7 +383,7 @@ def epx1_empty_index() -> bytes:
 
 class TestContainer:
     @pytest.mark.parametrize("granularity", ep.Granularity)
-    def test_save_load_dump_equal(self, tmp_path, granularity):
+    def test_save_load_save_is_byte_identical(self, tmp_path, granularity):
         _, corpus, _ = build_random_corpus(5, 500, max_entities=10)
         idx = ep.build(corpus, granularity, 1.5)
         path = tmp_path / "idx.epx"
@@ -388,12 +391,10 @@ class TestContainer:
         again = ep.load(path)
         assert again.posting_count() == idx.posting_count() > 0
         assert again.periods() == idx.periods()
-        want = idx.dump()
-        assert len(want["postings"]) == idx.posting_count()
-        assert again.dump() == want
+        assert sum(len(again.entity_postings(e))
+                   for e in again.entities) == idx.posting_count()
         # A loaded index saves back to the same bytes.
-        ep.save(again, tmp_path / "again.epx")
-        assert (tmp_path / "again.epx").read_bytes() == path.read_bytes()
+        assert epx_bytes(again, tmp_path / "again.epx") == path.read_bytes()
 
     def test_loaded_index_answers_like_built(self, tmp_path):
         _, corpus, _ = build_random_corpus(17, 500, max_entities=6)
@@ -454,7 +455,8 @@ class TestContainer:
         assert (info["entities"], info["periods"], info["postings"]) == (
             len(idx.entities), len(idx.periods()), idx.posting_count())
         assert "cooccur_pairs" not in info
-        fanouts = [len(p[-1]) for p in idx.dump()["postings"]]
+        fanouts = [len(p[-1]) for e in idx.entities
+                   for p in idx.entity_postings(e).values()]
         assert ep.inspect_file(path, verify=True) == dict(
             info, cooccur_pairs=sum(fanouts),
             cooccur_fanout_max=max(fanouts))
@@ -521,14 +523,15 @@ class TestIgnoredBuildKeywords:
     """``build`` still takes ``approx_users`` and ``max_workers`` and counts
     exactly whatever they say."""
 
-    def test_approx_users_counts_every_user_exactly(self):
+    def test_approx_users_counts_every_user_exactly(self, tmp_path):
         rows = [row(f"t{i}", f"user{i}", "2015-07-05T10:00:00Z",
                     [("A", 1.0)], 1, -1) for i in range(5000)]
         corpus = make_corpus(rows)
         idx = build(corpus, approx_users=True, max_workers=4)
         assert idx.posting("A", month(2015, 7)).user_count == 5000
         assert idx.slice_counts(month(2015, 7)) == (5000, 5000)
-        assert idx.dump() == build(corpus).dump()
+        assert epx_bytes(idx, tmp_path / "a.epx") == \
+            epx_bytes(build(corpus), tmp_path / "b.epx")
 
 
 @pytest.fixture(scope="module")
@@ -614,7 +617,9 @@ class TestOpenFile:
             ep.save(other, path)  # write_atomic: a new file renamed over it
             assert every_answer(loaded) == every_answer(idx)
         with ep.load(path) as replaced:
-            assert replaced.dump() == other.dump() != idx.dump()
+            copy = tmp_path / "copy.epx"
+            assert epx_bytes(replaced, copy) == epx_bytes(other, copy) != \
+                epx_bytes(idx, copy)
 
     def test_truncation_after_load_fails_typed(self, tmp_path):
         idx, path = saved_index(tmp_path)
