@@ -26,14 +26,24 @@ declared: a bad value is a usage error on the command line (exit 2) and a
 runtime failure in a config file (exit 1). A query runs at its index's
 granularity unless ``--granularity`` says otherwise (then it fails);
 ``epx index`` builds by month unless told otherwise.
+
+``index``, ``ingest`` and ``filter``, the commands that read every row of
+an archive, run with Python's cyclic garbage collector paused, and ``main``
+restores the state it found once the command has returned or failed. The
+row path makes no reference cycles, so a collection during it frees
+nothing; yet every posting, set and dict it builds stays tracked, so each
+full collection walks the whole growing build. The query commands read one
+entity's postings at a time and keep the collector as it is.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from collections import Counter, deque
+from contextlib import contextmanager, nullcontext
 from typing import Callable, NamedTuple
 
 from . import corpus as corpus_mod
@@ -84,6 +94,19 @@ def _open_query(args, others: list[str] | None = None):
         args.subparser.error("--other must name at least one entity")
     _warn_unknown_entity(index, args.entity, *others or ())
     return index, parse_window(args.from_, args.to, g)
+
+
+@contextmanager
+def _collector_paused():
+    """Run the block with the cyclic garbage collector off, and afterwards
+    switch it back on only if it was on before."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -268,6 +291,7 @@ class _Command(NamedTuple):
     options: tuple[str, ...]  # in --help order; --config is added to all
     required: tuple[str, ...]  # checked in this order
     helps: dict[str, str | None] = {}  # an option's help in this command
+    row_path: bool = False  # reads every row: the collector is paused
 
 
 _QUERY = ("--index", "--entity")
@@ -278,7 +302,7 @@ _COMMANDS = {
         _cmd_ingest, "validate rows, report stats",
         ("--input", "--min-confidence", "--output", "--rejects"), ("--input",),
         {"--output": "canonical CSV of accepted records",
-         "--rejects": "side CSV row,reason"}),
+         "--rejects": "side CSV row,reason"}, row_path=True),
     "train-spam": _Command(
         _cmd_train_spam, "fit the naive Bayes spam model",
         ("--input", "--model", "--alpha"), ("--input", "--model"),
@@ -287,12 +311,13 @@ _COMMANDS = {
     "filter": _Command(
         _cmd_filter, "drop records classified as spam",
         ("--input", "--model", "--output", "--min-confidence"),
-        ("--input", "--model", "--output"), {"--output": None}),
+        ("--input", "--model", "--output"), {"--output": None},
+        row_path=True),
     "index": _Command(
         _cmd_index, "ingest and build an index file",
         ("--input", "--output", "--granularity", "--delta", "--min-confidence",
          "--rejects"), ("--input", "--output"),
-        {"--output": "index file path (.epx)"}),
+        {"--output": "index file path (.epx)"}, row_path=True),
     "inspect": _Command(_cmd_inspect, "dump index container stats as JSON",
                         ("--index", "--verify"), ("--index",)),
     "series": _Command(_cmd_series, "per-period measure series",
@@ -391,7 +416,10 @@ def main(argv: list[str] | None = None) -> int:
     command = _COMMANDS[args.command]
     try:
         _merge_config(args, command)
-        command.handler(args)
+        # Around the call, so the handler's build is freed before the
+        # collector is back on and none of it is walked by a collection.
+        with _collector_paused() if command.row_path else nullcontext():
+            command.handler(args)
     except (ValueError, OSError, corpus_mod.IngestError,
             index_mod.IndexFormatError) as exc:
         _diag({"error": str(exc)})

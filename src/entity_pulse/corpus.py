@@ -13,7 +13,10 @@ Row schema (RFC-4180 quoting)::
   the last representable date.
 * ``mentions`` holds ``entity_id:confidence`` pairs joined by ``;``. Entity
   ids are percent-escaped so that ``%`` ``:`` ``;`` ``,`` and newlines never
-  appear raw; identity is the exact decoded string (no case folding).
+  appear raw; identity is the exact decoded string (no case folding). An
+  escape sequence that is not UTF-8 (``x%FF``) makes the list malformed,
+  so no two such ids merge into one; a ``%`` that starts no escape
+  (``100%``) is kept as it is.
   Duplicate mentions of one entity collapse to the max confidence, so a
   NaN confidence, which has no order, rejects the row; ``inf`` is kept.
 * ``positive`` is an integer in [1, 5], ``negative`` in [-5, -1].
@@ -122,6 +125,29 @@ def _escape_entity(entity_id: str) -> str:
 
 
 def _parse_timestamp(raw: str) -> datetime | None:
+    """``raw`` as a UTC datetime truncated to the second, or None if it is
+    not a timestamp the row schema accepts.
+
+    The canonical form ``YYYY-MM-DDTHH:MM:SSZ`` (20 characters, ``T`` at
+    index 10, ``Z`` at index 19), which ``epx`` writes and most archives
+    hold, is read with one ``datetime.fromisoformat`` call. Any other form,
+    and any such string that call refuses or reads with a fraction of a
+    second or in year 9999, goes to :func:`_parse_any_timestamp`, the
+    parser of every form.
+    """
+    if len(raw) == 20 and raw[10] == "T" and raw[19] == "Z":
+        try:
+            ts = datetime.fromisoformat(raw)  # a trailing Z reads as UTC
+            if not ts.microsecond and ts.year != _LAST_YEAR:
+                return ts
+        except ValueError:
+            pass
+    return _parse_any_timestamp(raw)
+
+
+def _parse_any_timestamp(raw: str) -> datetime | None:
+    """Every timestamp form of the row schema, read as UTC and truncated to
+    the second; None for anything else and for year 9999."""
     s = raw.strip()
     if s.endswith(("Z", "z")):
         s = s[:-1] + "+00:00"
@@ -138,13 +164,27 @@ def _parse_timestamp(raw: str) -> datetime | None:
     return ts.replace(microsecond=0) if ts.microsecond else ts
 
 
+def _decode_id(head: str) -> str:
+    """The entity id that the escaped ``head`` spells, or "" (malformed) if
+    its escapes do not decode as UTF-8. A ``%`` that starts no escape, as
+    in ``100%`` or ``%zz``, stands for itself."""
+    if "%" not in head:
+        return head
+    try:
+        return unquote(head, errors="strict")
+    except UnicodeDecodeError:
+        return ""
+
+
 def _parse_mentions(raw: str, decoded: dict[str, str]
                     ) -> tuple[tuple[str, float], ...] | None:
     """``(entity, confidence)`` pairs in first-seen order, or None if malformed.
 
-    A repeated entity keeps its highest confidence. ``decoded`` memoises
-    raw id -> entity across the rows of one read, so each distinct escaped
-    id goes through ``unquote`` once; ids without a ``%`` never do.
+    A repeated entity keeps its highest confidence. An id that is empty or
+    whose escapes are not UTF-8 makes the list malformed. ``decoded``
+    memoises raw id -> entity ("" when malformed) across the rows of one
+    read, so each distinct escaped id goes through ``unquote`` once; ids
+    without a ``%`` never do.
     """
     if not raw:
         return ()
@@ -161,7 +201,7 @@ def _parse_mentions(raw: str, decoded: dict[str, str]
             return None
         entity = decoded.get(head)
         if entity is None:
-            entity = decoded[head] = unquote(head) if "%" in head else head
+            entity = decoded[head] = _decode_id(head)
         if not entity:
             return None
         if entity in best:

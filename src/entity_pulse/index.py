@@ -354,7 +354,9 @@ def build_streaming(source, granularity: Granularity, delta: float, *,
 # strictly increase and each has a slice, every text count is at least 1,
 # every co-entity id is a known entity other than the block's own, in
 # ascending order, with a shared-text count in [1, text count], and the
-# block ends exactly at its length.
+# block ends exactly at its length. Only `inspect_file(verify=True)` reads
+# every block, so only it checks that each co-occurrence triple has a
+# mirror in the co-entity's block with the same counts.
 
 _SLICE_REC = struct.Struct("<iQQ")
 _POST_REC = struct.Struct("<iQQqqQQI")
@@ -613,7 +615,10 @@ def inspect_file(path, verify: bool = False) -> dict:
 
     ``verify=True`` also decodes and checks every posting block (raising
     IndexFormatError at the first bad one) and adds the co-occurrence pair
-    count and the largest co-occurrence fan-out of a posting.
+    count and the largest co-occurrence fan-out of a posting. It also
+    checks what no block holds alone: a co-occurrence of two entities in a
+    period is stored in both their blocks, and the two must agree on the
+    shared-text count and the attitude sum.
     """
     index, facts = _open(path)
     with index:
@@ -631,13 +636,34 @@ def inspect_file(path, verify: bool = False) -> dict:
         }
         if verify:
             pairs = fanout_max = 0
+            # (period, low id, high id) -> the low entity's (texts,
+            # attitude); blocks come in id order, so the high entity's
+            # block pops each pair the low one left.
+            pending: dict[tuple[date, int, int], tuple[int, int]] = {}
             for eid in range(len(index.entities)):
-                for p in index._blocks.decode(eid).values():
+                for d, p in index._blocks.decode(eid).items():
                     pairs += len(p[_CO])
                     fanout_max = max(fanout_max, len(p[_CO]))
+                    for e2, c, a in p[_CO]:
+                        if e2 > eid:
+                            pending[d, eid, e2] = (c, a)
+                        elif pending.pop((d, e2, eid), None) != (c, a):
+                            raise _mirror_error(index, d, e2, eid)
+            if pending:
+                raise _mirror_error(index, *min(pending))
             out["cooccur_pairs"] = pairs
             out["cooccur_fanout_max"] = fanout_max
     return out
+
+
+def _mirror_error(index: EntityIndex, d: date, low: int, high: int
+                  ) -> IndexFormatError:
+    """The error for a co-occurrence of entities ``low`` and ``high`` in the
+    period starting ``d`` that their two blocks do not hold alike."""
+    return IndexFormatError(
+        f"co-occurrence of {index.entities[low]!r} and "
+        f"{index.entities[high]!r} in the period starting {d} differs "
+        f"between their blocks")
 
 
 def _decode_sdic(buf: memoryview) -> list[str]:

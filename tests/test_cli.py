@@ -1,7 +1,9 @@
 """End-to-end ``epx`` runs through ``cli.main``."""
 
 import csv
+import gc
 import json
+import re
 import struct
 import tracemalloc
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 
 import entity_pulse as ep
 from entity_pulse import cli
+from entity_pulse import corpus as corpus_mod
 from entity_pulse.corpus import (REASON_DUPLICATE_ID, REASON_EMPTY_ID,
                                  REASON_FIELD_COUNT, REASON_MENTIONS,
                                  REASON_SENTIMENT, REASON_TIMESTAMP, csv_line,
@@ -702,3 +705,134 @@ def test_generated_years_below_1000_are_ingested(tmp_path, capsys):
     assert all(t.startswith("0999-") for t in summary["time_span"])
     stamps = [line.split(",")[2] for line in archive.read_text().splitlines()]
     assert all(s.startswith("0999-") for s in stamps)
+
+
+# -- escaped entity ids --------------------------------------------------------
+
+def test_ids_whose_escapes_are_not_utf8_reject_their_rows(tmp_path, capsys):
+    # Before, x%FF and x%e9 both decoded to "x�" and merged.
+    archive, out = tmp_path / "archive.csv", tmp_path / "out.csv"
+    archive.write_text("t1,u1,2015-07-05T10:00:00Z,x%FF:1.0,1,-1\n"
+                       "t2,u2,2015-07-05T11:00:00Z,x%e9:0.5,1,-1\n"
+                       't3,u3,2015-07-05T12:00:00Z,"x%C3%A9:0.5;y:1.0",1,-1\n',
+                       encoding="utf-8")
+    assert cli.main(["ingest", "--input", str(archive),
+                     "--output", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == \
+        "t3,u3,2015-07-05T12:00:00Z,xé:0.5;y:1.0,1,-1\n"
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["rejected_by_reason"] == {REASON_MENTIONS: 2}
+
+
+# -- inspect --verify: both blocks of a co-occurrence agree --------------------
+
+def _pair_index(tmp_path) -> Path:
+    """A month index where ``a`` and ``b`` share two texts (attitude sum
+    1), each has one more text of its own, and ``c`` one text alone."""
+    corpus = make_corpus([
+        row("t1", "u1", "2015-07-05T10:00:00Z", [("a", 1.0), ("b", 1.0)], 3, -1),
+        row("t2", "u2", "2015-07-06T10:00:00Z", [("a", 1.0), ("b", 1.0)], 1, -2),
+        row("t3", "u1", "2015-07-07T10:00:00Z", [("a", 1.0)], 2, -1),
+        row("t4", "u3", "2015-07-08T10:00:00Z", [("b", 1.0)], 1, -4),
+        row("t5", "u3", "2015-07-09T10:00:00Z", [("c", 1.0)], 1, -1)])
+    path = tmp_path / "pair.epx"
+    ep.save(ep.build(corpus, ep.Granularity.MONTH, 2.0), path)
+    return path
+
+
+# a's block opens POST with one posting: its triple for b holds the shared
+# texts (u64) at 60 and their attitude sum (i64) at 68, as in
+# CRAFTED_COUNTS. b's block follows at 76, so its triple for a names its
+# co-entity (u32) at 132; c has no co-occurrence to mirror one for b.
+@pytest.mark.parametrize("at,fmt,value", [
+    (60, "<Q", 1), (68, "<q", 3), (132, "<I", 2)],
+    ids=["shared_texts", "attitude_sum", "mirror_missing"])
+def test_verify_finds_a_pair_whose_blocks_disagree(tmp_path, capsys, at, fmt,
+                                                   value):
+    path = _pair_index(tmp_path)
+    assert cli.main(["inspect", "--index", str(path), "--verify"]) == 0
+    assert json.loads(capsys.readouterr().out)["cooccur_pairs"] == 2
+    blob = bytearray(path.read_bytes())
+    post, _ = epx_section(blob, b"POST")
+    struct.pack_into(fmt, blob, post + at, value)
+    path.write_bytes(reseal_epx(blob))
+    assert cli.main(["inspect", "--index", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["inspect", "--index", str(path), "--verify"]) == 1
+    assert _error_line(capsys)["error"] == (
+        "co-occurrence of 'a' and 'b' in the period starting 2015-07-01 "
+        "differs between their blocks")
+
+
+# -- the row path runs with the collector paused -------------------------------
+
+@pytest.fixture(params=[True, False], ids=["collector_on", "collector_off"])
+def collector_was(request):
+    """Whether the collector is on when the test calls ``cli.main``; the
+    state found before the test is restored after it."""
+    found = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if found else gc.disable)()
+
+
+def _row_path_argv(tmp_path, command) -> list[str]:
+    archive, out = tmp_path / "archive.csv", tmp_path / "out"
+    archive.write_text(ORDER_ARCHIVE, encoding="utf-8")
+    argv = [command, "--input", str(archive), "--output", str(out)]
+    if command == "filter":
+        model = tmp_path / "model.json"
+        ep.save_model(ep.train([("spam text offer", "spam"),
+                                ("hi there friend", "ham")]), model)
+        argv += ["--model", str(model)]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["index", "ingest", "filter"])
+def test_row_path_pauses_the_collector_and_restores_it(
+        tmp_path, capsys, monkeypatch, collector_was, command):
+    during = []
+
+    def csv_rows(source):
+        during.append(gc.isenabled())
+        return read_rows(source)
+
+    read_rows = corpus_mod.csv_rows
+    monkeypatch.setattr(corpus_mod, "csv_rows", csv_rows)
+    assert cli.main(_row_path_argv(tmp_path, command)) == 0
+    assert during == [False]
+    assert gc.isenabled() is collector_was
+
+
+@pytest.mark.parametrize("failure", ["unreadable_row", "bad_delta"])
+def test_a_failed_index_run_restores_the_collector(tmp_path, capsys,
+                                                   collector_was, failure):
+    argv = _row_path_argv(tmp_path, "index")
+    if failure == "unreadable_row":
+        # Past the reader's first decoded chunk, so rows were aggregated
+        # before the IngestError.
+        good = "".join(f"t{i},u1,2015-01-01T00:00:00Z,A:1.0,1,-1\n"
+                       for i in range(3000))
+        (tmp_path / "archive.csv").write_bytes(good.encode() + b"\xff\n")
+        pattern = r"unreadable source after row [1-9]"
+    else:
+        argv += ["--delta", "9"]
+        pattern = r"delta must be in \[0, 4\]"
+    assert cli.main(argv) == 1
+    assert re.match(pattern, _error_line(capsys)["error"])
+    assert gc.isenabled() is collector_was
+    assert not (tmp_path / "out").exists()
+
+
+def test_query_commands_leave_the_collector_as_it_is(
+        tmp_path, capsys, monkeypatch, collector_was):
+    during = []
+
+    def inspect_file(path, verify):
+        during.append(gc.isenabled())
+        return {}
+
+    monkeypatch.setattr(cli.index_mod, "inspect_file", inspect_file)
+    assert cli.main(["inspect", "--index", str(tmp_path / "x.epx")]) == 0
+    assert during == [collector_was]
+    assert gc.isenabled() is collector_was

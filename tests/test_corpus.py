@@ -6,14 +6,16 @@ from datetime import datetime, timezone
 from urllib.parse import unquote
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entity_pulse as ep
 from entity_pulse.corpus import (REASON_DUPLICATE_ID, REASON_FIELD_COUNT,
                                  REASON_MENTIONS, REASON_SENTIMENT,
                                  REASON_TIMESTAMP, IngestError, Rejection,
-                                 _escape_entity, _parse_mentions, _record_line,
+                                 _escape_entity, _parse_any_timestamp,
+                                 _parse_mentions, _parse_timestamp,
+                                 _record_line,
                                  scan, write_atomic, write_records,
                                  write_rejections)
 from entity_pulse.index import build_streaming
@@ -86,14 +88,26 @@ class TestParseRecord:
 
     def test_mention_ids_decode_as_unquote(self):
         # Ids without "%" skip unquote; with one, they must still decode
-        # exactly as unquote does, stray and invalid escapes included.
+        # exactly as a strict unquote does, stray escapes kept verbatim.
         heads = ["plain", "100%", "a%3Ab", "%41%42", "50%%", "%zz", "%E2%82%AC",
-                 "%ff", "dbp:Iraq_War"]
+                 "%c3%a9", "dbp:Iraq_War"]
         raw = ";".join(f"{h}:1.5" for h in heads)
-        want = tuple((unquote(h), 1.5) for h in heads)
+        want = tuple((unquote(h, errors="strict"), 1.5) for h in heads)
         decoded = {}
         assert _parse_mentions(raw, decoded) == want
         assert _parse_mentions(raw, decoded) == want  # memoised ids
+
+    @pytest.mark.parametrize("raw", [
+        "x%FF:1.0", "x%C3:1.0", "x%ED%A0%80:1.0", "ok:1.0;a%E2%82:0.5",
+        "x%FF:1.0;x%FE:2.0;x%e9:0.5"])
+    def test_an_id_that_is_not_utf8_rejects_its_row(self, raw):
+        # Invalid, cut and surrogate sequences: none may become U+FFFD,
+        # which merged every such id into one entity.
+        decoded = {}
+        for _ in range(2):  # the second read hits the memo
+            assert _parse_mentions(raw, decoded) is None
+        rej = ep.parse_record(f'x,u,2015-07-05T10:00:00Z,"{raw}",1,-1')
+        assert rej == Rejection(0, REASON_MENTIONS)
 
     def test_offset_timestamp_normalized_to_utc(self):
         rec = ep.parse_record("t,u,2015-07-05T12:00:00+02:00,,1,-1")
@@ -155,6 +169,45 @@ def line_of(rec) -> str:
     return _record_line(rec.text_id, rec.user_id, rec.timestamp,
                         [(_escape_entity(e), c) for e, c in rec.mentions],
                         rec.positive, rec.negative, rec.text)
+
+
+@st.composite
+def near_canonical_timestamps(draw) -> str:
+    """A canonical ``YYYY-MM-DDTHH:MM:SSZ`` string with up to three
+    characters replaced, inserted or deleted."""
+    chars = list(draw(_timestamps).isoformat()[:19] + "Z")
+    edits = st.sampled_from("0123456789\u0663\uff15\u0e51zZT:+-. ,\x00")
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(chars)))
+        kind = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if kind == "insert" or at == len(chars):
+            chars.insert(at, draw(edits))
+        elif kind == "replace":
+            chars[at] = draw(edits)
+        else:
+            del chars[at]
+    return "".join(chars)
+
+
+class TestTimestampFastPath:
+    @settings(max_examples=500)
+    @given(st.text(max_size=24) | near_canonical_timestamps()
+           | _timestamps.map(lambda d: d.isoformat()[:19] + "Z"))
+    @example("2015-07-05T10:00:00z")
+    @example("2015-07-05T10:00:00+02:00")
+    @example("2015-07-05T10:00:00.5Z")
+    @example("2015-07-05T100000.5Z")
+    @example(" 2015-07-05T10:00:00Z")
+    @example("2015-07-05T10:00:00Z ")
+    @example("2015-02-30T10:00:00Z")
+    @example("9999-12-31T23:59:59Z")
+    @example("0001-01-01T00:00:00Z")
+    @example("2015-W27-1T10:00:00Z")
+    @example("2015-07-05T10:00:0\u0663Z")
+    @example("\uff12015-07-05T10:00:00Z")
+    @example("2015-07-05T24:00:00Z")
+    def test_equals_the_full_parser(self, raw):
+        assert repr(_parse_timestamp(raw)) == repr(_parse_any_timestamp(raw))
 
 
 class TestRoundTrip:
