@@ -5,12 +5,13 @@ connectedness, network, generate. Query outputs are CSV data rows (no
 header; column orders are given by the ``*_csv_rows`` docstrings in
 ``measures`` and ``relations``, and connectedness rows are
 ``entity,other,period_start,period_end,kind,value``) or JSON lines;
-diagnostics go to stderr as JSON lines. JSON and CSV files are read, and
-every file written, through ``corpus``'s file helpers, so outputs are
-written atomically via a temp file and rename. Exit codes: 0 success, 1
-runtime failure, 2 usage error. Every runtime failure leaves through the
-one ``except`` in ``main``, as one JSON ``error`` line. An unknown entity
-is an answer (empty/zero output), not an error.
+diagnostics go to stderr as JSON lines. JSON files are read, and every
+file written, through the helpers in ``files`` (CSV sources through
+``corpus``), so outputs are written atomically via a temp file and
+rename. Exit codes: 0 success, 1 runtime failure, 2 usage error. Every
+runtime failure leaves through the one ``except`` in ``main``, as one JSON
+``error`` line. An unknown entity is an answer (empty/zero output), not
+an error.
 
 Each option is declared once, in ``_OPTIONS`` (its argparse keywords and
 its default), and each subcommand once, in ``_COMMANDS`` (its handler,
@@ -34,6 +35,15 @@ row path makes no reference cycles, so a collection during it frees
 nothing; yet every posting, set and dict it builds stays tracked, so each
 full collection walks the whole growing build. The query commands read one
 entity's postings at a time and keep the collector as it is.
+
+Each ``epx`` run is a new process, and where no bytecode cache is kept
+(``PYTHONDONTWRITEBYTECODE``) it compiles every module it imports. So a
+query (``series``, ``topk``, ``connectedness``, ``network``, ``inspect``)
+loads only this module, ``index``, ``measures``, ``relations``,
+``timeline`` and ``files``: the handlers of ``ingest``, ``train-spam``,
+``filter``, ``index`` and ``generate`` import ``corpus``, ``spam`` and
+``synth`` themselves, and the package imports its public names on first
+use.
 """
 
 from __future__ import annotations
@@ -46,12 +56,10 @@ from collections import Counter, deque
 from contextlib import contextmanager, nullcontext
 from typing import Callable, NamedTuple
 
-from . import corpus as corpus_mod
+from . import files
 from . import index as index_mod
 from . import measures as measures_mod
 from . import relations as relations_mod
-from . import spam as spam_mod
-from . import synth as synth_mod
 from .timeline import (Granularity, enumerate_periods, parse_period_token,
                        parse_window)
 
@@ -62,7 +70,7 @@ def _diag(payload: dict) -> None:
 
 def _emit(args, rows: list[str]) -> None:
     if args.output:
-        corpus_mod.write_lines(args.output, rows)
+        files.write_lines(args.output, rows)
     else:
         sys.stdout.write("\n".join(rows) + ("\n" if rows else ""))
 
@@ -112,6 +120,8 @@ def _collector_paused():
 # -- subcommand handlers -------------------------------------------------------
 
 def _cmd_ingest(args):
+    from . import corpus as corpus_mod
+
     corpus, rows = corpus_mod.scan(args.input,
                                    min_confidence=args.min_confidence)
     if args.output:
@@ -130,6 +140,8 @@ def _cmd_ingest(args):
 
 
 def _cmd_train_spam(args):
+    from . import spam as spam_mod
+
     labeled = spam_mod.read_labeled_csv(args.input)
     model = spam_mod.train(labeled, alpha=args.alpha)
     spam_mod.save_model(model, args.model)
@@ -139,6 +151,9 @@ def _cmd_train_spam(args):
 
 
 def _cmd_filter(args):
+    from . import corpus as corpus_mod
+    from . import spam as spam_mod
+
     model = spam_mod.load_model(args.model)
     corpus, rows = corpus_mod.scan(args.input,
                                    min_confidence=args.min_confidence)
@@ -148,6 +163,8 @@ def _cmd_filter(args):
 
 
 def _cmd_index(args):
+    from . import corpus as corpus_mod
+
     g = Granularity(args.granularity or Granularity.MONTH)
     built, stats, rejections = index_mod.build_streaming(
         args.input, g, args.delta, min_confidence=args.min_confidence)
@@ -220,7 +237,7 @@ def _cmd_connectedness(args):
                       "period_end": period.end_date.isoformat(),
                       "kind": kind, "value": value}
             rows.append(json.dumps(record) if args.format == "json"
-                        else corpus_mod.csv_line(record.values()))
+                        else files.csv_line(record.values()))
     _emit(args, rows)
 
 
@@ -235,8 +252,8 @@ def _cmd_network(args):
             index, args.entity, period, args.k, args.variant, args.delta,
             args.min_support)
     if args.graph_output:
-        corpus_mod.write_lines(args.graph_output,
-                               relations_mod.network_edge_rows(network))
+        files.write_lines(args.graph_output,
+                          relations_mod.network_edge_rows(network))
     if args.format == "json":
         rows = _json_lines(relations_mod.network_json_records(network))
     else:
@@ -245,6 +262,8 @@ def _cmd_network(args):
 
 
 def _cmd_generate(args):
+    from . import synth as synth_mod
+
     manifest = synth_mod.write_corpus(synth_mod.load_scenario(args.spec),
                                       args.output, args.manifest or None)
     print(json.dumps({"rows": manifest["rows"],
@@ -356,7 +375,7 @@ def _merge_config(args: argparse.Namespace, command: _Command) -> None:
     every required option is set."""
     config = {}
     if args.config:
-        config = corpus_mod.read_json(args.config, "config")
+        config = files.read_json(args.config, "config")
         if not isinstance(config, dict):
             raise ValueError("config file must hold a JSON object")
         for key in config:
@@ -420,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
         # collector is back on and none of it is walked by a collection.
         with _collector_paused() if command.row_path else nullcontext():
             command.handler(args)
-    except (ValueError, OSError, corpus_mod.IngestError,
+    except (ValueError, OSError, files.IngestError,
             index_mod.IndexFormatError) as exc:
         _diag({"error": str(exc)})
         return 1

@@ -29,26 +29,29 @@ the row number and a stable reason string, accumulated on the corpus. A
 NUL character is read like any other, so an id may hold one.
 
 The package reads JSON and CSV, and writes files, only through this
-module: :func:`read_json` (config, scenario, spam model; ValueError),
-:func:`csv_rows` (any CSV source; :class:`IngestError`), :func:`csv_line`,
-and :func:`write_lines` and :func:`write_atomic` (atomic writes).
+module and ``files``: :func:`csv_rows` here reads any CSV source
+(:class:`IngestError`), and ``files`` holds :func:`read_json` (config,
+scenario, spam model; ValueError), :func:`csv_line`, and :func:`write_lines`
+and :func:`write_atomic` (atomic writes). This module re-exports the
+``files`` helpers as the same objects.
 """
 
 from __future__ import annotations
 
 import csv
 import gzip
-import io
-import json
 import math
 import os
-from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 from urllib.parse import unquote
+
+# Re-exported, so callers may import these from here as well.
+from .files import (IngestError, csv_line, read_json, write_atomic,
+                    write_lines)
 
 UTC = timezone.utc
 # Timestamps in this year are rejected: the year period holding them ends
@@ -62,10 +65,6 @@ REASON_SENTIMENT = "sentiment out of range"
 REASON_MENTIONS = "malformed mention list"
 REASON_EMPTY_ID = "empty text or user id"
 REASON_DUPLICATE_ID = "duplicate text id"
-
-
-class IngestError(Exception):
-    """Unreadable source (I/O or encoding failure) with positional context."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,18 +103,6 @@ class CorpusStats:
     rejected_count: int
     distinct_users: int
     time_span: tuple[datetime, datetime] | None
-
-
-def csv_line(fields: Iterable) -> str:
-    """One RFC-4180 row without the terminator. ``None`` is written as an
-    empty field and a float by its ``repr``.
-
-    The writer must see a real line terminator, otherwise fields containing
-    bare CR/LF would not get quoted; the terminator is sliced off after.
-    """
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\r\n").writerow(fields)
-    return buf.getvalue()[:-2]
 
 
 def _escape_entity(entity_id: str) -> str:
@@ -419,59 +406,6 @@ def ingest(source, min_confidence: float | None = None
     corpus, rows = scan(source, min_confidence)
     corpus._rows = sorted(rows, key=_by_time)
     return corpus, corpus.stats
-
-
-@contextmanager
-def write_atomic(path, binary: bool = False):
-    """Open a new file to write ``path``'s content into, and rename it over
-    ``path`` once the ``with`` block ends without error.
-
-    The temporary file sits beside ``path`` under a random name, created
-    exclusively, so concurrent writers never share one; on an error it is
-    removed and ``path`` is left as it was. Unlike ``tempfile.mkstemp``'s
-    0600 files, it gets the permissions the process umask gives a new file.
-    """
-    path = os.fspath(path)
-    while True:
-        tmp = f"{path}.{os.urandom(8).hex()}.tmp"
-        try:
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            break
-        except FileExistsError:
-            continue
-    try:
-        if binary:
-            fh = open(fd, "wb")
-        else:
-            fh = open(fd, "w", encoding="utf-8", newline="")
-        with fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
-
-
-def read_json(path, what: str):
-    """The JSON value held in the file at ``path``.
-
-    A file that cannot be read, is not UTF-8 JSON, or nests deeper than the
-    decoder's recursion limit raises ValueError naming ``what`` and ``path``.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:
-        raise ValueError(f"cannot read {what} {path}: {exc}") from exc
-
-
-def write_lines(path, lines: Iterable[str]) -> None:
-    """Each of ``lines`` and a newline after it, written atomically to
-    ``path``."""
-    with write_atomic(path) as fh:
-        for line in lines:
-            fh.write(line + "\n")
 
 
 def write_records(corpus: Corpus, rows: Iterable[Row], path) -> None:

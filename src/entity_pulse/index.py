@@ -57,12 +57,14 @@ import os
 import struct
 import weakref
 import zlib
-from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .corpus import Corpus, CorpusStats, Rejection, Row, scan, write_atomic
+from .files import write_atomic
 from .timeline import Granularity, Period, period_containing, start_date
+
+if TYPE_CHECKING:  # for annotations only: a query imports no corpus
+    from .corpus import Corpus, CorpusStats, Rejection, Row
 
 MAGIC = b"EPX2"
 FORMAT_VERSION = 2
@@ -84,8 +86,7 @@ class IndexFormatError(Exception):
     """Index file cannot be loaded: wrong magic/version, truncated, corrupt."""
 
 
-@dataclass(frozen=True, slots=True)
-class EntityPosting:
+class EntityPosting(NamedTuple):
     entity_id: str
     period: Period
     text_count: int
@@ -309,6 +310,8 @@ def build_streaming(source, granularity: Granularity, delta: float, *,
     Equals ``build(ingest(source, min_confidence)[0], ...)``, and returns
     that ingest's stats and rejections alongside the index.
     """
+    from .corpus import scan  # not at the top: a query never imports it
+
     _check_delta(delta)
     corpus, rows = scan(source, min_confidence)
     raw = _aggregate(rows, granularity, delta)
@@ -366,6 +369,10 @@ _DIR_REC = struct.Struct("<QI")
 _U32 = struct.Struct("<I")
 _SECTIONS = (b"SDIC", b"SLIC", b"POST", b"PDIR")
 _MALFORMED = (struct.error, ValueError, OverflowError)
+# (c << _PAIR_SHIFT) + a is exact for every shared-text count c >= 1 and
+# attitude sum a that a block stores: a is an i64, so |a| <= 2**63, less
+# than half of 1 << 65.
+_PAIR_SHIFT = 65
 # The CRC buffer adds to the peak RSS of every load; larger ones are no
 # faster to checksum.
 _CRC_CHUNK = 1 << 16
@@ -636,21 +643,33 @@ def inspect_file(path, verify: bool = False) -> dict:
         }
         if verify:
             pairs = fanout_max = 0
-            # (period, low id, high id) -> the low entity's (texts,
-            # attitude); blocks come in id order, so the high entity's
-            # block pops each pair the low one left.
-            pending: dict[tuple[date, int, int], tuple[int, int]] = {}
-            for eid in range(len(index.entities)):
+            n = len(index.entities)
+            # A co-occurrence of ids low < high in the period of ordinal o
+            # waits for the high entity's block under the int key
+            # (o * n + low) * n + high, which orders like (o, low, high);
+            # blocks come in id order, so the high block pops each key the
+            # low one left. The value is the low block's shared-text count
+            # c and attitude sum a as (c << _PAIR_SHIFT) + a: an int key
+            # and value take less memory than a tuple of each.
+            pending: dict[int, int] = {}
+            for eid in range(n):
                 for d, p in index._blocks.decode(eid).items():
-                    pairs += len(p[_CO])
-                    fanout_max = max(fanout_max, len(p[_CO]))
-                    for e2, c, a in p[_CO]:
+                    co = p[_CO]
+                    pairs += len(co)
+                    fanout_max = max(fanout_max, len(co))
+                    base = d.toordinal() * n
+                    for e2, c, a in co:
+                        value = (c << _PAIR_SHIFT) + a
                         if e2 > eid:
-                            pending[d, eid, e2] = (c, a)
-                        elif pending.pop((d, e2, eid), None) != (c, a):
+                            pending[(base + eid) * n + e2] = value
+                        elif pending.pop((base + e2) * n + eid,
+                                         None) != value:
                             raise _mirror_error(index, d, e2, eid)
             if pending:
-                raise _mirror_error(index, *min(pending))
+                rest, high = divmod(min(pending), n)
+                ordinal, low = divmod(rest, n)
+                raise _mirror_error(index, date.fromordinal(ordinal), low,
+                                    high)
             out["cooccur_pairs"] = pairs
             out["cooccur_fanout_max"] = fanout_max
     return out

@@ -23,25 +23,22 @@ wrappers keep: the walk enumerates periods at the index's granularity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import datetime
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
-from .corpus import csv_line
+from .files import csv_line
 from .index import _ATT, _NEG, _POS, _SENT, _TC, _USERS, EntityIndex
 from .timeline import Period, enumerate_periods
 
 
-@dataclass(frozen=True, slots=True)
-class MeasurePoint:
+class MeasurePoint(NamedTuple):
     entity_id: str
     period: Period
     value: float | None
     support: int  # mentioning-text count behind the value
 
 
-@dataclass(frozen=True, slots=True)
-class RankedPeriods:
+class RankedPeriods(NamedTuple):
     entity_id: str
     measure: str
     direction: str  # "high" | "low"

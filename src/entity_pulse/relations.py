@@ -24,18 +24,17 @@ then co-entity id ascending.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
-from .corpus import csv_line
+from .files import csv_line
 from .index import _CO, _TC, EntityIndex, _check_delta
 from .timeline import Period
 
 _co_entity = itemgetter(0)  # of a co-occurrence triple
 
 
-@dataclass(frozen=True, slots=True)
-class RankedNetwork:
+class RankedNetwork(NamedTuple):
     entity_id: str
     period: Period
     variant: str  # "plain" | "positive" | "negative"

@@ -19,7 +19,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-from .corpus import Row, csv_rows, read_json, write_atomic
+from .corpus import Row, csv_rows
+from .files import read_json, write_atomic
 
 CLASSES = ("spam", "ham")
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)

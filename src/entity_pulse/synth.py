@@ -27,7 +27,8 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
-from .corpus import _escape_entity, _record_line, read_json, write_lines
+from .corpus import _escape_entity, _record_line
+from .files import read_json, write_lines
 from .timeline import (Granularity, Period, enumerate_periods,
                        parse_period_token, parse_window)
 

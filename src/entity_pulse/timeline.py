@@ -8,10 +8,10 @@ partially overlap a query window are included whole.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 UTC = timezone.utc
 
@@ -66,17 +66,31 @@ def _next_start(d: date, g: Granularity) -> date:
     return date(d.year + 1, 1, 1)
 
 
-@dataclass(frozen=True, slots=True)
-class Period:
-    """Half-open interval [start, end) covering one calendar unit."""
-
+class _PeriodFields(NamedTuple):
     start: datetime
     end: datetime
     granularity: Granularity
 
-    def __post_init__(self) -> None:
-        if self.start >= self.end:
-            raise ValueError(f"degenerate period {self.start}..{self.end}")
+
+class Period(_PeriodFields):
+    """Half-open interval [start, end) covering one calendar unit.
+
+    A tuple of its three fields: it compares equal to a plain tuple of them
+    and sorts by its start.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, start: datetime, end: datetime,
+                granularity: Granularity) -> Period:
+        if start >= end:
+            raise ValueError(f"degenerate period {start}..{end}")
+        return super().__new__(cls, start, end, granularity)
+
+    @classmethod
+    def _make(cls, iterable) -> Period:
+        # The tuple's own _make, which _replace calls, skips __new__.
+        return cls(*iterable)
 
     @property
     def start_date(self) -> date:
@@ -140,10 +154,13 @@ def enumerate_periods(window_start: datetime, window_end: datetime,
     p = _from_start(start_date(window_start.astimezone(UTC).date(), g), g)
     out = [p]
     # The next period starts where this one ends, so none is built that
-    # starts at or after the window end.
-    while p.end < end_limit:
-        p = _from_start(p.end.date(), g)
+    # starts at or after the window end. A NamedTuple field is a slower
+    # read than a slot, so each end is read once.
+    end = p.end
+    while end < end_limit:
+        p = _from_start(end.date(), g)
         out.append(p)
+        end = p.end
     return out
 
 

@@ -3,8 +3,11 @@
 import csv
 import gc
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -836,3 +839,59 @@ def test_query_commands_leave_the_collector_as_it_is(
     assert cli.main(["inspect", "--index", str(tmp_path / "x.epx")]) == 0
     assert during == [collector_was]
     assert gc.isenabled() is collector_was
+
+
+# -- a query imports only the modules it runs ----------------------------------
+
+# Runs each argv given as JSON through cli.main in a new interpreter, then
+# prints the names of the modules loaded.
+_RUN_AND_LIST_MODULES = """
+import json, sys
+from entity_pulse import cli
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def _python(*args: str) -> str:
+    """stdout of a new interpreter run with ``args``, on the package."""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_query_commands_import_no_ingest_code(tmp_path):
+    index = str(_pair_index(tmp_path))
+    window = ["--from", "2015-07", "--to", "2015-08"]
+    argvs = [
+        ["series", "--index", index, "--entity", "a", "--measure",
+         "attitude", *window],
+        ["series", "--index", index, "--entity", "a", "--measure",
+         "popularity_cu", *window, "--format", "json",
+         "--output", str(tmp_path / "series.jsonl")],
+        ["topk", "--index", index, "--entity", "b", "--measure",
+         "controversiality", *window, "--k", "1"],
+        ["connectedness", "--index", index, "--entity", "a", "--other", "b",
+         *window, "--kind", "both"],
+        ["connectedness", "--index", index, "--entity", "a", "--other",
+         "b,c", *window],
+        ["network", "--index", index, "--entity", "a", "--period",
+         "2015-07", "--graph-output", str(tmp_path / "edges.csv")],
+        ["network", "--index", index, "--entity", "a", "--period",
+         "2015-07", "--variant", "negative", "--delta", "0"],
+        ["inspect", "--index", index, "--verify"],
+    ]
+    assert {a[0] for a in argvs} == {"series", "topk", "connectedness",
+                                     "network", "inspect"}
+    out = _python("-c", _RUN_AND_LIST_MODULES, json.dumps(argvs))
+    loaded = set(json.loads(out.splitlines()[-1]))
+    ingest_side = {"entity_pulse.corpus", "entity_pulse.spam",
+                   "entity_pulse.synth"}
+    assert loaded & ingest_side == set()
+    # The interpreter's own start-up (its site hooks) may load dataclasses;
+    # a query must not add it.
+    bare = _python("-c", "import sys; print('dataclasses' in sys.modules)")
+    if bare.strip() == "False":
+        assert "dataclasses" not in loaded

@@ -170,6 +170,15 @@ class TestTokens:
         with pytest.raises(ValueError):
             Period(dt(2015, 1, 2), dt(2015, 1, 1), Granularity.DAY)
 
+    def test_replace_keeps_the_bounds_check(self):
+        p = Period(dt(2015, 1, 1), dt(2015, 1, 2), Granularity.DAY)
+        assert p._replace(end=dt(2015, 1, 3)) == (
+            dt(2015, 1, 1), dt(2015, 1, 3), Granularity.DAY)
+        with pytest.raises(ValueError):
+            p._replace(start=dt(2015, 1, 2))
+        with pytest.raises(ValueError):
+            Period._make((dt(2015, 1, 2), dt(2015, 1, 1), Granularity.DAY))
+
 
 def month_period():
     return period_of(dt(2015, 7, 10), Granularity.MONTH)
