@@ -25,17 +25,17 @@ second user.
 
 The build is one serial pass. :func:`build` runs it over an ingested
 corpus; :func:`build_streaming` runs it straight over a CSV source, so the
-archive itself is never held in memory. Both give identical indexes.
-The bytes :func:`save` writes are an index's canonical form: two indexes
-answer every query alike exactly when they save to equal bytes.
+archive itself is never held in memory. The bytes :func:`save` writes are
+an index's canonical form: two indexes answer every query alike exactly
+when they save to equal bytes.
 
-Postings are kept entity first, ``{entity id: {period start: posting}}``,
-because every query reads one entity's postings (or a pair's, or a set's)
-across periods. An index read by :func:`load` has the same layout, filled
-in one entity at a time: an entity's postings are decoded from its block
-in the file the first time a query touches it. The index never changes
-otherwise and is safe for concurrent readers; two readers decoding the
-same block at once store equal dicts.
+Postings are kept as EPX2 blocks (layout below), one per entity, because
+every query reads one entity's postings (or a pair's, or a set's) across
+periods. A built index holds each entity's block in memory; a loaded one
+reads it from its file. Either decodes a block through one checked path
+the first time a query touches its entity, into ``{period start:
+posting}``. The index never changes otherwise and is safe for concurrent
+readers; two readers decoding the same block at once store equal dicts.
 
 A loaded index never holds the file. :func:`load` streams the file once
 through a small buffer to check its CRC, reads the small sections on their
@@ -58,7 +58,9 @@ import struct
 import weakref
 import zlib
 from datetime import date
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from functools import partial
+from itertools import accumulate
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from .files import write_atomic
 from .timeline import Granularity, Period, period_containing, start_date
@@ -72,9 +74,9 @@ _GRANULARITY_CODES = {g: i for i, g in enumerate(Granularity)}
 _HEADER = struct.Struct("<4sHBBdIH")
 _SECTION_ENTRY = struct.Struct("<4sQQ")
 
-# Slot layout of a stored posting tuple. _CO holds the posting's
+# Slot layout of a decoded posting tuple. _CO holds the posting's
 # co-occurrence triples as its EPX2 block stores them, () when there are
-# none, so a stored posting holds only ints and tuples of ints, which the
+# none, so a decoded posting holds only ints and tuples of ints, which the
 # cyclic GC stops tracking once it has seen them. The build accumulator is
 # a list of the same slots, with the first user id at _USERS until a second
 # distinct user turns it into a set, and at _CO None until the first
@@ -103,24 +105,23 @@ class EntityIndex:
 
     def __init__(self, granularity: Granularity, delta: float,
                  entities: list[str], slices: dict[date, tuple[int, int]],
-                 postings: dict[int, dict[date, tuple]], posting_total: int,
-                 blocks: _Blocks | None = None) -> None:
+                 blocks: _Blocks) -> None:
         self.granularity = granularity
         self.delta = delta
         self.entities = entities
         self._entity_ids = {e: i for i, e in enumerate(entities)}
         # (text_total, user_total) by period start, non-empty periods only.
         self.slices = slices
-        self._postings = postings
-        self._posting_total = posting_total
+        # Decoded postings by entity id, filled in on first touch.
+        self._postings: dict[int, dict[date, tuple]] = {}
+        self._posting_total = sum(blocks.counts)
         self._blocks = blocks
 
     def close(self) -> None:
         """Release the file a loaded index reads its blocks from; calling it
         again does nothing. Entities already decoded still answer; touching
-        any other raises ``ValueError``."""
-        if self._blocks is not None:
-            self._blocks.close()
+        any other raises ``ValueError``. A built index has no file."""
+        self._blocks.close()
 
     def __enter__(self) -> EntityIndex:
         return self
@@ -132,8 +133,7 @@ class EntityIndex:
         """The entity's postings, decoded from its block on first touch."""
         per = self._postings.get(eid)
         if per is None:
-            per = {} if self._blocks is None else self._blocks.decode(eid)
-            self._postings[eid] = per
+            per = self._postings[eid] = self._blocks.decode(eid)
         return per
 
     # -- raw accessors (hot path for measures/relations) --------------------
@@ -257,28 +257,34 @@ def _aggregate(rows: Iterable[Row], g: Granularity, delta: float
 
 def _finalize(granularity: Granularity, delta: float, entities: list[str],
               raw: tuple[dict, dict]) -> EntityIndex:
-    """Turn the accumulators into stored postings keyed entity first, each
-    entity's in period order: user sets become their sizes (a lone user id
-    counts 1), co-occurrence dicts become their triples sorted by co-entity
-    (``()`` for none), and each period's accumulators are dropped once
-    moved."""
+    """Encode the accumulators into one EPX2 block per entity, walking
+    periods in ascending order, so that appending each posting to its
+    entity's buffer gives the block layout: user sets become their sizes (a
+    lone user id counts 1), co-occurrence dicts become their triples sorted
+    by co-entity, and each period's accumulators are dropped once encoded.
+    The buffers stay apart: joining them into one POST would hold every
+    block twice at the end of the build."""
     slices, posts = raw
     for d, (texts, users) in slices.items():
         slices[d] = (texts, len(users))
-    postings: dict[int, dict[date, tuple]] = {}
-    total = 0
+    blocks = [bytearray() for _ in entities]
+    counts = [0] * len(entities)
     for d in sorted(posts):
         per_period = posts.pop(d)
-        total += len(per_period)
+        ordinal = d.toordinal()
         for eid, p in per_period.items():
-            per = postings.get(eid)
-            if per is None:
-                per = postings[eid] = {}
             users, co = p[_USERS], p[_CO]
-            per[d] = (p[_TC], 1 if type(users) is int else len(users),
-                      p[_ATT], p[_SENT], p[_POS], p[_NEG],
-                      () if co is None else tuple(sorted(co.values())))
-    return EntityIndex(granularity, delta, entities, slices, postings, total)
+            triples = () if co is None else sorted(co.values())
+            block = blocks[eid]
+            block += _POST_REC.pack(
+                ordinal, p[_TC], 1 if type(users) is int else len(users),
+                p[_ATT], p[_SENT], p[_POS], p[_NEG], len(triples))
+            for rec in triples:
+                block += _CO_REC.pack(*rec)
+            counts[eid] += 1
+    offsets = list(accumulate(map(len, blocks), initial=0))
+    return EntityIndex(granularity, delta, entities, slices,
+                       _Blocks(blocks.__getitem__, offsets, counts, slices))
 
 
 def _check_delta(delta: float) -> None:
@@ -343,21 +349,22 @@ def build_streaming(source, granularity: Granularity, delta: float, *,
 #                  the next one starts; the last ends with POST.
 #
 # All strings live in the SDIC dictionary; postings reference them by id.
-# The writer streams SDIC, SLIC, POST and then PDIR, so that it never holds
-# the encoded payload, and writes the header last.
+# The writer writes SDIC, SLIC, POST and then PDIR, and the header last.
+# POST is each block as the index holds it (a loaded index reads its own
+# from its file), so saving neither decodes nor re-encodes a posting.
 #
 # Checks: `load` checks the header and the section table, and streams the
 # payload once through a buffer of at most 64 KB to check the CRC. It then
 # reads SDIC, SLIC and PDIR with one `pread` each and checks them: SDIC
 # (distinct names), SLIC (ordinals strictly increasing and aligned to the
 # granularity) and PDIR (blocks tile POST, counts sum to the total). POST
-# stays in the file, which stays open. A block is read with one `pread` and
-# checked when it is first decoded: the read returns the block's full
-# length (a shorter one means the file was cut after load), its ordinals
-# strictly increase and each has a slice, every text count is at least 1,
-# every co-entity id is a known entity other than the block's own, in
-# ascending order, with a shared-text count in [1, text count], and the
-# block ends exactly at its length. Only `inspect_file(verify=True)` reads
+# stays in the file, which stays open. A loaded block is read with one
+# `pread`, which must return the block's full length (a shorter one means
+# the file was cut after load). A block, built or loaded, is checked when
+# it is first decoded: its ordinals strictly increase and each has a slice,
+# every text count is at least 1, every co-entity id is a known entity
+# other than the block's own, in ascending order, with a shared-text count
+# in [1, text count], and the block ends exactly at its length. Only `inspect_file(verify=True)` reads
 # every block, so only it checks that each co-occurrence triple has a
 # mirror in the co-entity's block with the same counts.
 
@@ -379,35 +386,29 @@ _CRC_CHUNK = 1 << 16
 
 
 class _Blocks:
-    """The POST section of a loaded index, left in its open file, with the
-    block directory."""
+    """An index's POST section, one block per entity, with the block
+    directory. ``read(eid)`` gives entity ``eid``'s block: from memory for
+    a built index, from the open file for a loaded one."""
 
-    __slots__ = ("file", "base", "offsets", "counts", "slices", "n_entities",
+    __slots__ = ("read", "offsets", "counts", "slices", "n_entities",
                  "close", "__weakref__")
 
-    def __init__(self, file, base: int, offsets: list[int],
-                 counts: list[int], slices: dict[date, tuple[int, int]]):
-        self.file = file
-        self.base = base  # file offset of POST
+    def __init__(self, read: Callable[[int], bytes], offsets: list[int],
+                 counts: list[int], slices: dict[date, tuple[int, int]],
+                 release: Callable[[], None] = lambda: None):
+        self.read = read
         self.offsets = offsets  # one per entity, then the end of POST
         self.counts = counts
         self.slices = slices
         self.n_entities = len(counts)
-        # Closes the file on the first call, or when the blocks are
-        # collected unclosed.
-        self.close = weakref.finalize(self, file.close)
+        # Runs ``release`` (a loaded index's file.close) on the first call,
+        # or when the blocks are collected unclosed.
+        self.close = weakref.finalize(self, release)
 
     def decode(self, eid: int) -> dict[date, tuple]:
-        """Entity ``eid``'s postings, read from the file; a short read or a
-        malformed block raises IndexFormatError."""
-        if self.file.closed:
-            raise ValueError("index is closed")
-        start, end = self.offsets[eid], self.offsets[eid + 1]
-        buf = os.pread(self.file.fileno(), end - start, self.base + start)
-        if len(buf) != end - start:
-            raise IndexFormatError(
-                f"posting block of entity {eid} is cut short: the file was "
-                f"truncated after it was loaded")
+        """Entity ``eid``'s postings, decoded from its block; a short read
+        or a malformed block raises IndexFormatError."""
+        buf = self.read(eid)
         try:
             return self._decode(eid, memoryview(buf))
         except _MALFORMED as exc:
@@ -461,27 +462,23 @@ class _Blocks:
         return out
 
 
-def _block_chunks(index: EntityIndex, directory: list[tuple[int, int]]
-                  ) -> Iterator[bytearray]:
-    """Encode each entity's block in id order, recording ``(offset,
-    count)`` for it in ``directory``."""
-    offset = 0
-    for eid in range(len(index.entities)):
-        per = index._entity_postings(eid)
-        block = bytearray()
-        for d in sorted(per):
-            tc, uc, att, sent, spos, sneg, co = per[d]
-            block += _POST_REC.pack(d.toordinal(), tc, uc, att, sent, spos,
-                                    sneg, len(co))
-            for rec in co:
-                block += _CO_REC.pack(*rec)
-        directory.append((offset, len(per)))
-        offset += len(block)
-        yield block
+def _read_block(file, base: int, offsets: list[int], eid: int) -> bytes:
+    """Entity ``eid``'s block, read with ``os.pread`` from ``file``, whose
+    POST section starts at ``base``."""
+    if file.closed:
+        raise ValueError("index is closed")
+    start, end = offsets[eid], offsets[eid + 1]
+    buf = os.pread(file.fileno(), end - start, base + start)
+    if len(buf) != end - start:
+        raise IndexFormatError(
+            f"posting block of entity {eid} is cut short: the file was "
+            f"truncated after it was loaded")
+    return buf
 
 
 def save(index: EntityIndex, path) -> None:
-    """Write the index as its canonical EPX2 container (atomic)."""
+    """Write the index as its canonical EPX2 container (atomic). The blocks
+    are written as the index holds them, not decoded."""
     sdic = bytearray(_U32.pack(len(index.entities)))
     for name in index.entities:
         raw = name.encode("utf-8")
@@ -490,21 +487,17 @@ def save(index: EntityIndex, path) -> None:
     slic = bytearray(_U32.pack(len(index.slices)))
     for d in sorted(index.slices):
         slic += _SLICE_REC.pack(d.toordinal(), *index.slices[d])
-    directory: list[tuple[int, int]] = []
-
-    def pdir() -> Iterator[bytes]:
-        # Runs after the POST chunks, which fill ``directory``.
-        yield _DIR_HEAD.pack(len(directory), index.posting_count())
-        yield b"".join(_DIR_REC.pack(*entry) for entry in directory)
-
+    blocks = index._blocks
+    post = map(blocks.read, range(blocks.n_entities))
+    pdir = bytearray(_DIR_HEAD.pack(blocks.n_entities, index.posting_count()))
+    for entry in zip(blocks.offsets, blocks.counts):
+        pdir += _DIR_REC.pack(*entry)
     base = _HEADER.size + _SECTION_ENTRY.size * len(_SECTIONS)
     table = bytearray()
     crc, offset = 0, base
     with write_atomic(path, binary=True) as fh:
         fh.write(bytes(base))
-        for tag, chunks in zip(_SECTIONS, ([sdic], [slic],
-                                           _block_chunks(index, directory),
-                                           pdir())):
+        for tag, chunks in zip(_SECTIONS, ([sdic], [slic], post, [pdir])):
             start = offset
             for chunk in chunks:
                 fh.write(chunk)
@@ -601,14 +594,16 @@ def _read_container(file) -> tuple[EntityIndex, dict]:
         entities = _decode_sdic(read(b"SDIC"))
         slices = _decode_slic(read(b"SLIC"), granularity)
         post_offset, post_len = sections[b"POST"]
-        offsets, counts, total = _decode_pdir(read(b"PDIR"), len(entities),
-                                              post_len)
+        offsets, counts = _decode_pdir(read(b"PDIR"), len(entities),
+                                       post_len)
     except KeyError as exc:
         raise IndexFormatError(f"missing section {exc}") from None
     except _MALFORMED as exc:
         raise IndexFormatError(f"malformed section data: {exc}") from exc
-    index = EntityIndex(granularity, delta, entities, slices, {}, total,
-                        _Blocks(file, post_offset, offsets, counts, slices))
+    index = EntityIndex(granularity, delta, entities, slices,
+                        _Blocks(partial(_read_block, file, post_offset,
+                                        offsets), offsets, counts, slices,
+                                file.close))
     if len(index._entity_ids) != len(entities):
         raise IndexFormatError("duplicate entity names")
     facts = {"magic": MAGIC.decode("ascii"), "version": version, "crc32": crc,
@@ -724,9 +719,9 @@ def _decode_slic(buf: memoryview, g: Granularity
 
 
 def _decode_pdir(buf: memoryview, n_entities: int, post_len: int
-                 ) -> tuple[list[int], list[int], int]:
+                 ) -> tuple[list[int], list[int]]:
     """Block offsets (plus the end of POST) and posting counts per entity,
-    and the total posting count."""
+    checked against the total posting count."""
     count, total = _DIR_HEAD.unpack_from(buf, 0)
     if count != n_entities:
         raise ValueError(f"block directory lists {count} entities, "
@@ -740,4 +735,4 @@ def _decode_pdir(buf: memoryview, n_entities: int, post_len: int
         raise ValueError("posting blocks do not tile the posting section")
     if sum(counts) != total:
         raise ValueError("block posting counts do not sum to the total")
-    return offsets, counts, total
+    return offsets, counts

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import json
 import os
 import random
 import struct
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entity_pulse as ep
-from entity_pulse import measures, relations
+from entity_pulse import cli, measures, relations
 from entity_pulse.index import IndexFormatError, build_streaming
 
 import oracle
@@ -585,6 +586,32 @@ class TestCraftedFiles:
                                       ).items():
                     assert loaded.posting(other, p).cooccur[e] == shared
 
+    def test_save_copies_a_malformed_block_as_it_is(self, tmp_path, capsys):
+        """``save`` writes each block as the index holds it, without
+        decoding it, so a loaded index with a block that fails its checks
+        saves to the same bytes, and the copy fails them at first touch."""
+        corpus = make_corpus([row("t1", "u1", "2015-07-05T10:00:00Z",
+                                  [("A", 1.0), ("B", 1.0)], 3, -1)])
+        path = tmp_path / "x.epx"
+        ep.save(build(corpus), path)
+        blob = bytearray(path.read_bytes())
+        post, _ = epx_section(blob, b"POST")
+        struct.pack_into("<Q", blob, post + 4, 0)  # A's posting: no texts
+        path.write_bytes(reseal_epx(blob))
+        copy = tmp_path / "copy.epx"
+        with ep.load(path) as loaded:
+            ep.save(loaded, copy)
+        assert copy.read_bytes() == path.read_bytes()
+        with ep.load(copy) as again:
+            assert again.posting("B", month(2015, 7)).text_count == 1
+            with pytest.raises(IndexFormatError,
+                               match="malformed posting block .* no texts"):
+                again.posting("A", month(2015, 7))
+        assert cli.main(["inspect", "--index", str(copy), "--verify"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no texts" in json.loads(captured.err)["error"]
+
 
 def saved_index(tmp_path, seed=17, name="idx.epx"):
     """(built index, path it is saved at) for a small random corpus."""
@@ -660,6 +687,18 @@ class TestOpenFile:
         assert loaded.entity_postings(first) == idx.entity_postings(first)
         idx.close()
         assert idx.entity_postings(last)
+
+    def test_a_closed_index_cannot_be_saved(self, tmp_path):
+        # ``save`` copies the blocks from the file, so it needs the file
+        # even when every entity was decoded before ``close()``.
+        _, path = saved_index(tmp_path)
+        with ep.load(path) as loaded:
+            for e in loaded.entities:
+                loaded.entity_postings(e)
+        copy = tmp_path / "copy.epx"
+        with pytest.raises(ValueError, match="index is closed"):
+            ep.save(loaded, copy)
+        assert os.listdir(tmp_path) == [path.name]
 
     @pytest.mark.skipif(sys.implementation.name != "cpython",
                         reason="tuple untracking is CPython's")
