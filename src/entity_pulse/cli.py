@@ -13,6 +13,12 @@ runtime failure leaves through the one ``except`` in ``main``, as one JSON
 ``error`` line. An unknown entity is an answer (empty/zero output), not
 an error.
 
+``connectedness --other`` names one entity, or a set as a comma list.
+Each item is percent-unescaped as a mention id in the archive is, so
+``Washington%2C_D.C.`` names ``Washington,_D.C.``; an item whose escapes
+are not UTF-8 is a usage error. A single target is printed decoded, a set
+as given.
+
 Each option is declared once, in ``_OPTIONS`` (its argparse keywords and
 its default), and each subcommand once, in ``_COMMANDS`` (its handler,
 the options it takes and those it requires). Every subcommand accepts
@@ -209,7 +215,12 @@ def _cmd_topk(args):
 
 
 def _cmd_connectedness(args):
-    others = [o for o in args.other.split(",") if o]
+    items = [o for o in args.other.split(",") if o]
+    others = [files.decode_id(o) for o in items]
+    for item, entity in zip(items, others):
+        if not entity:
+            args.subparser.error(f"--other item {item!r} has an escape that "
+                                 "is not UTF-8")
     if len(others) > 1 and args.kind != "direct":
         args.subparser.error(f"--kind {args.kind} takes one --other entity; "
                              "connectedness to a set is direct only")
@@ -219,7 +230,7 @@ def _cmd_connectedness(args):
         if len(others) > 1:
             pairs = [("set", relations_mod.connectedness_to_set(
                 index, args.entity, others, period))]
-            target = ",".join(others)
+            target = ",".join(items)
         else:
             target = others[0]
             pairs = []
@@ -288,7 +299,9 @@ _OPTIONS: dict[str, dict] = {
     "--measure": {"choices": sorted(measures_mod.MEASURES)},
     "--k": {"type": int, "default": 10},
     "--direction": {"choices": ["high", "low"], "default": "high"},
-    "--other": {"help": "target entity, or comma list for a set"},
+    "--other": {"help": "target entity, or comma list for a set; each "
+                        "item is percent-unescaped as in the archive, so "
+                        "%%2C stands for a comma in an id"},
     "--kind": {"choices": ["direct", "indirect", "both"],
                "default": "direct"},
     "--include-self": {"action": "store_true", "default": False},

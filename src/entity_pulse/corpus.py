@@ -16,7 +16,8 @@ Row schema (RFC-4180 quoting)::
   appear raw; identity is the exact decoded string (no case folding). An
   escape sequence that is not UTF-8 (``x%FF``) makes the list malformed,
   so no two such ids merge into one; a ``%`` that starts no escape
-  (``100%``) is kept as it is.
+  (``100%``) is kept as it is. ``files.decode_id`` is the one decoder, so
+  ``epx connectedness --other`` reads an id as a row does.
   Duplicate mentions of one entity collapse to the max confidence, so a
   NaN confidence, which has no order, rejects the row; ``inf`` is kept.
 * ``positive`` is an integer in [1, 5], ``negative`` in [-5, -1].
@@ -47,11 +48,10 @@ from datetime import datetime, timezone
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
-from urllib.parse import unquote
 
 # Re-exported, so callers may import these from here as well.
-from .files import (IngestError, csv_line, read_json, write_atomic,
-                    write_lines)
+from .files import (IngestError, csv_line, decode_id, read_json,
+                    write_atomic, write_lines)
 
 UTC = timezone.utc
 # Timestamps in this year are rejected: the year period holding them ends
@@ -151,18 +151,6 @@ def _parse_any_timestamp(raw: str) -> datetime | None:
     return ts.replace(microsecond=0) if ts.microsecond else ts
 
 
-def _decode_id(head: str) -> str:
-    """The entity id that the escaped ``head`` spells, or "" (malformed) if
-    its escapes do not decode as UTF-8. A ``%`` that starts no escape, as
-    in ``100%`` or ``%zz``, stands for itself."""
-    if "%" not in head:
-        return head
-    try:
-        return unquote(head, errors="strict")
-    except UnicodeDecodeError:
-        return ""
-
-
 def _parse_mentions(raw: str, decoded: dict[str, str]
                     ) -> tuple[tuple[str, float], ...] | None:
     """``(entity, confidence)`` pairs in first-seen order, or None if malformed.
@@ -170,8 +158,8 @@ def _parse_mentions(raw: str, decoded: dict[str, str]
     A repeated entity keeps its highest confidence. An id that is empty or
     whose escapes are not UTF-8 makes the list malformed. ``decoded``
     memoises raw id -> entity ("" when malformed) across the rows of one
-    read, so each distinct escaped id goes through ``unquote`` once; ids
-    without a ``%`` never do.
+    read, so each distinct id goes through ``decode_id`` once, and only
+    one that holds a ``%`` is unquoted.
     """
     if not raw:
         return ()
@@ -188,7 +176,7 @@ def _parse_mentions(raw: str, decoded: dict[str, str]
             return None
         entity = decoded.get(head)
         if entity is None:
-            entity = decoded[head] = _decode_id(head)
+            entity = decoded[head] = decode_id(head)
         if not entity:
             return None
         if entity in best:

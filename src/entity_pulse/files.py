@@ -1,5 +1,5 @@
-"""The file helpers every command shares: reading JSON, rendering a CSV
-line and writing files atomically.
+"""The helpers every command shares: reading JSON, rendering a CSV line,
+writing files atomically and decoding an escaped entity id.
 
 They live apart from ``corpus`` so that a query, which writes its rows
 through them, does not import the ingest side of the package; ``corpus``
@@ -30,6 +30,20 @@ def csv_line(fields: Iterable) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\r\n").writerow(fields)
     return buf.getvalue()[:-2]
+
+
+def decode_id(head: str) -> str:
+    """The entity id that the escaped ``head`` spells, or "" (malformed) if
+    its escapes do not decode as UTF-8. A ``%`` that starts no escape, as
+    in ``100%`` or ``%zz``, stands for itself."""
+    if "%" not in head:
+        return head
+    from urllib.parse import unquote  # not at the top: most ids need none
+
+    try:
+        return unquote(head, errors="strict")
+    except UnicodeDecodeError:
+        return ""
 
 
 @contextmanager

@@ -31,9 +31,9 @@ when they save to equal bytes.
 
 Postings are kept as EPX2 blocks (layout below), one per entity, because
 every query reads one entity's postings (or a pair's, or a set's) across
-periods. A built index holds each entity's block in memory; a loaded one
-reads it from its file. Either decodes a block through one checked path
-the first time a query touches its entity, into ``{period start:
+periods. An :class:`EntityIndex` holds each block in memory when built, or
+reads it from its file when loaded, and decodes it through one checked
+path the first time a query touches its entity, into ``{period start:
 posting}``. The index never changes otherwise and is safe for concurrent
 readers; two readers decoding the same block at once store equal dicts.
 
@@ -101,11 +101,17 @@ class EntityPosting(NamedTuple):
 
 
 class EntityIndex:
-    """Immutable index over one corpus at one granularity and delta."""
+    """Immutable index over one corpus at one granularity and delta. Its
+    postings are one EPX2 block per entity: ``_read(eid)`` gives entity
+    ``eid``'s block, from memory for a built index or from the open file for
+    a loaded one; ``_offsets`` holds each block's start in POST, then the
+    end of POST, and ``_counts`` holds each block's posting count."""
 
     def __init__(self, granularity: Granularity, delta: float,
                  entities: list[str], slices: dict[date, tuple[int, int]],
-                 blocks: _Blocks) -> None:
+                 read: Callable[[int], bytes], offsets: list[int],
+                 counts: list[int],
+                 release: Callable[[], None] = lambda: None) -> None:
         self.granularity = granularity
         self.delta = delta
         self.entities = entities
@@ -114,14 +120,18 @@ class EntityIndex:
         self.slices = slices
         # Decoded postings by entity id, filled in on first touch.
         self._postings: dict[int, dict[date, tuple]] = {}
-        self._posting_total = sum(blocks.counts)
-        self._blocks = blocks
+        self._read = read
+        self._offsets = offsets
+        self._counts = counts
+        # Runs ``release`` (a loaded index's file.close) on the first call,
+        # or at collection if unclosed, so it must not hold the index.
+        self._release = weakref.finalize(self, release)
 
     def close(self) -> None:
         """Release the file a loaded index reads its blocks from; calling it
         again does nothing. Entities already decoded still answer; touching
         any other raises ``ValueError``. A built index has no file."""
-        self._blocks.close()
+        self._release()
 
     def __enter__(self) -> EntityIndex:
         return self
@@ -133,8 +143,64 @@ class EntityIndex:
         """The entity's postings, decoded from its block on first touch."""
         per = self._postings.get(eid)
         if per is None:
-            per = self._postings[eid] = self._blocks.decode(eid)
+            per = self._postings[eid] = self._decode_block(eid)
         return per
+
+    def _decode_block(self, eid: int) -> dict[date, tuple]:
+        """Entity ``eid``'s postings, decoded from its block; a short read
+        or a malformed block raises IndexFormatError."""
+        buf = self._read(eid)
+        try:
+            return self._decode(eid, memoryview(buf))
+        except _MALFORMED as exc:
+            raise IndexFormatError(
+                f"malformed posting block of entity {eid}: {exc}") from exc
+
+    def _decode(self, eid: int, buf: memoryview) -> dict[date, tuple]:
+        pos, end = 0, len(buf)
+        slices, n_entities = self.slices, len(self.entities)
+        out: dict[date, tuple] = {}
+        last = -(1 << 31)  # below every i32 ordinal
+        for _ in range(self._counts[eid]):
+            if pos + _POST_REC.size > end:
+                raise ValueError("block overrun")
+            ordinal, tc, uc, att, sent, spos, sneg, nco = \
+                _POST_REC.unpack_from(buf, pos)
+            pos += _POST_REC.size
+            if ordinal <= last:
+                raise ValueError("periods not strictly increasing")
+            last = ordinal
+            d = date.fromordinal(ordinal)
+            if d not in slices:
+                raise ValueError(f"posting in {d} has no period slice")
+            if tc < 1:
+                raise ValueError(f"posting in {d} has no texts")
+            texts, users = slices[d]
+            # A text's attitude is in [-4, 4] and its sentimentality in
+            # [0, 8]; the strongly positive and negative texts are disjoint.
+            if not (uc <= tc <= texts and 1 <= uc <= users
+                    and spos + sneg <= tc and abs(att) <= 4 * tc
+                    and 0 <= sent <= 8 * tc):
+                raise ValueError(f"posting in {d} has counts out of range")
+            co_end = pos + nco * _CO_REC.size
+            if co_end > end:
+                raise ValueError("block overrun")
+            co = tuple(_CO_REC.iter_unpack(buf[pos:co_end]))
+            prev = -1
+            for e2, c, a in co:
+                if not prev < e2 < n_entities or e2 == eid:
+                    raise ValueError(f"bad co-entity reference {e2}")
+                if not 1 <= c <= tc:
+                    raise ValueError(f"bad shared-text count {c}")
+                if abs(a) > 4 * c:
+                    raise ValueError(f"attitude sum {a} with co-entity {e2} "
+                                     f"out of range")
+                prev = e2
+            pos = co_end
+            out[d] = (tc, uc, att, sent, spos, sneg, co)
+        if pos != end:
+            raise ValueError("block does not end at its length")
+        return out
 
     # -- raw accessors (hot path for measures/relations) --------------------
 
@@ -164,10 +230,7 @@ class EntityIndex:
         eid = self._entity_ids.get(entity)
         if eid is None:
             return None
-        per = self._postings.get(eid)
-        if per is None:
-            per = self._entity_postings(eid)
-        return per.get(self._check_period(period))
+        return self._entity_postings(eid).get(self._check_period(period))
 
     # -- public views --------------------------------------------------------
 
@@ -185,7 +248,7 @@ class EntityIndex:
                 for d in sorted(self.slices)]
 
     def posting_count(self) -> int:
-        return self._posting_total
+        return sum(self._counts)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +347,7 @@ def _finalize(granularity: Granularity, delta: float, entities: list[str],
             counts[eid] += 1
     offsets = list(accumulate(map(len, blocks), initial=0))
     return EntityIndex(granularity, delta, entities, slices,
-                       _Blocks(blocks.__getitem__, offsets, counts, slices))
+                       blocks.__getitem__, offsets, counts)
 
 
 def _check_delta(delta: float) -> None:
@@ -360,13 +423,13 @@ def build_streaming(source, granularity: Granularity, delta: float, *,
 # granularity) and PDIR (blocks tile POST, counts sum to the total). POST
 # stays in the file, which stays open. A loaded block is read with one
 # `pread`, which must return the block's full length (a shorter one means
-# the file was cut after load). A block, built or loaded, is checked when
-# it is first decoded: its ordinals strictly increase and each has a slice,
-# every text count is at least 1, every co-entity id is a known entity
-# other than the block's own, in ascending order, with a shared-text count
-# in [1, text count], and the block ends exactly at its length. Only `inspect_file(verify=True)` reads
-# every block, so only it checks that each co-occurrence triple has a
-# mirror in the co-entity's block with the same counts.
+# the file was cut after load). `EntityIndex._decode` checks each block,
+# built or loaded, at its first decode: its ordinals strictly increase and
+# each has a slice, every count is in the range its texts allow, its
+# co-entity ids are known entities other than its own, in ascending order,
+# and it ends exactly at its length. Only `inspect_file(verify=True)` reads
+# every block, so only it checks that each co-occurrence triple has a mirror
+# in the co-entity's block with the same counts.
 
 _SLICE_REC = struct.Struct("<iQQ")
 _POST_REC = struct.Struct("<iQQqqQQI")
@@ -383,83 +446,6 @@ _PAIR_SHIFT = 65
 # The CRC buffer adds to the peak RSS of every load; larger ones are no
 # faster to checksum.
 _CRC_CHUNK = 1 << 16
-
-
-class _Blocks:
-    """An index's POST section, one block per entity, with the block
-    directory. ``read(eid)`` gives entity ``eid``'s block: from memory for
-    a built index, from the open file for a loaded one."""
-
-    __slots__ = ("read", "offsets", "counts", "slices", "n_entities",
-                 "close", "__weakref__")
-
-    def __init__(self, read: Callable[[int], bytes], offsets: list[int],
-                 counts: list[int], slices: dict[date, tuple[int, int]],
-                 release: Callable[[], None] = lambda: None):
-        self.read = read
-        self.offsets = offsets  # one per entity, then the end of POST
-        self.counts = counts
-        self.slices = slices
-        self.n_entities = len(counts)
-        # Runs ``release`` (a loaded index's file.close) on the first call,
-        # or when the blocks are collected unclosed.
-        self.close = weakref.finalize(self, release)
-
-    def decode(self, eid: int) -> dict[date, tuple]:
-        """Entity ``eid``'s postings, decoded from its block; a short read
-        or a malformed block raises IndexFormatError."""
-        buf = self.read(eid)
-        try:
-            return self._decode(eid, memoryview(buf))
-        except _MALFORMED as exc:
-            raise IndexFormatError(
-                f"malformed posting block of entity {eid}: {exc}") from exc
-
-    def _decode(self, eid: int, buf: memoryview) -> dict[date, tuple]:
-        pos, end = 0, len(buf)
-        slices, n_entities = self.slices, self.n_entities
-        out: dict[date, tuple] = {}
-        last = -(1 << 31)  # below every i32 ordinal
-        for _ in range(self.counts[eid]):
-            if pos + _POST_REC.size > end:
-                raise ValueError("block overrun")
-            ordinal, tc, uc, att, sent, spos, sneg, nco = \
-                _POST_REC.unpack_from(buf, pos)
-            pos += _POST_REC.size
-            if ordinal <= last:
-                raise ValueError("periods not strictly increasing")
-            last = ordinal
-            d = date.fromordinal(ordinal)
-            if d not in slices:
-                raise ValueError(f"posting in {d} has no period slice")
-            if tc < 1:
-                raise ValueError(f"posting in {d} has no texts")
-            texts, users = slices[d]
-            # A text's attitude is in [-4, 4] and its sentimentality in
-            # [0, 8]; the strongly positive and negative texts are disjoint.
-            if not (uc <= tc <= texts and 1 <= uc <= users
-                    and spos + sneg <= tc and abs(att) <= 4 * tc
-                    and 0 <= sent <= 8 * tc):
-                raise ValueError(f"posting in {d} has counts out of range")
-            co_end = pos + nco * _CO_REC.size
-            if co_end > end:
-                raise ValueError("block overrun")
-            co = tuple(_CO_REC.iter_unpack(buf[pos:co_end]))
-            prev = -1
-            for e2, c, a in co:
-                if not prev < e2 < n_entities or e2 == eid:
-                    raise ValueError(f"bad co-entity reference {e2}")
-                if not 1 <= c <= tc:
-                    raise ValueError(f"bad shared-text count {c}")
-                if abs(a) > 4 * c:
-                    raise ValueError(f"attitude sum {a} with co-entity {e2} "
-                                     f"out of range")
-                prev = e2
-            pos = co_end
-            out[d] = (tc, uc, att, sent, spos, sneg, co)
-        if pos != end:
-            raise ValueError("block does not end at its length")
-        return out
 
 
 def _read_block(file, base: int, offsets: list[int], eid: int) -> bytes:
@@ -487,10 +473,9 @@ def save(index: EntityIndex, path) -> None:
     slic = bytearray(_U32.pack(len(index.slices)))
     for d in sorted(index.slices):
         slic += _SLICE_REC.pack(d.toordinal(), *index.slices[d])
-    blocks = index._blocks
-    post = map(blocks.read, range(blocks.n_entities))
-    pdir = bytearray(_DIR_HEAD.pack(blocks.n_entities, index.posting_count()))
-    for entry in zip(blocks.offsets, blocks.counts):
+    post = map(index._read, range(len(index.entities)))
+    pdir = bytearray(_DIR_HEAD.pack(len(index.entities), sum(index._counts)))
+    for entry in zip(index._offsets, index._counts):
         pdir += _DIR_REC.pack(*entry)
     base = _HEADER.size + _SECTION_ENTRY.size * len(_SECTIONS)
     table = bytearray()
@@ -601,9 +586,8 @@ def _read_container(file) -> tuple[EntityIndex, dict]:
     except _MALFORMED as exc:
         raise IndexFormatError(f"malformed section data: {exc}") from exc
     index = EntityIndex(granularity, delta, entities, slices,
-                        _Blocks(partial(_read_block, file, post_offset,
-                                        offsets), offsets, counts, slices,
-                                file.close))
+                        partial(_read_block, file, post_offset, offsets),
+                        offsets, counts, file.close)
     if len(index._entity_ids) != len(entities):
         raise IndexFormatError("duplicate entity names")
     facts = {"magic": MAGIC.decode("ascii"), "version": version, "crc32": crc,
@@ -648,7 +632,7 @@ def inspect_file(path, verify: bool = False) -> dict:
             # and value take less memory than a tuple of each.
             pending: dict[int, int] = {}
             for eid in range(n):
-                for d, p in index._blocks.decode(eid).items():
+                for d, p in index._decode_block(eid).items():
                     co = p[_CO]
                     pairs += len(co)
                     fanout_max = max(fanout_max, len(co))

@@ -408,6 +408,47 @@ def test_connectedness_to_a_set_takes_no_indirect_kind(tmp_path, capsys,
         "connectedness to a set is direct only")
 
 
+def test_connectedness_other_items_are_unescaped_like_mentions(tmp_path,
+                                                               capsys):
+    # The archive stores the id "a,b" as a%2Cb; --other reads it the same
+    # way, so a comma inside an id does not split it into a set.
+    ab, c = ("a,b", 0.9), ("c", 0.8)
+    rows = [row("t1", "u1", "2015-07-05T10:00:00Z", [ab, c], 3, -1),
+            row("t2", "u2", "2015-07-05T11:00:00Z", [c], 2, -2),
+            row("t3", "u1", "2015-07-06T10:00:00Z", [ab, c], 1, -1)]
+    archive, index = tmp_path / "comma.csv", tmp_path / "comma.epx"
+    archive.write_text("\n".join(rows) + "\n")
+    assert "a%2Cb:0.9" in rows[0]
+    assert cli.main(["index", "--input", str(archive), "--output",
+                     str(index), "--granularity", "day"]) == 0
+    capsys.readouterr()
+    query = ["connectedness", "--index", str(index), "--entity", "c",
+             "--from", "2015-07-05", "--to", "2015-07-07", "--other"]
+    assert cli.main(query + ["a%2Cb", "--kind", "both"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [
+        'c,"a,b",2015-07-05,2015-07-06,direct,0.5',
+        'c,"a,b",2015-07-05,2015-07-06,indirect,',
+        'c,"a,b",2015-07-06,2015-07-07,direct,1.0',
+        'c,"a,b",2015-07-06,2015-07-07,indirect,']
+    # A set keeps its items as given; a comma still separates them.
+    assert cli.main(query + ["a%2Cb,zz"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.err) == {"warning": "unknown entity",
+                                        "entity": "zz"}
+    assert captured.out.splitlines()[0] == \
+        'c,"a%2Cb,zz",2015-07-05,2015-07-06,set,0.25'
+    with pytest.raises(SystemExit) as exc:
+        cli.main(query + ["x%FF"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "epx connectedness: error: --other item 'x%FF' has an escape that "
+        "is not UTF-8")
+
+
 def _model_doc(tmp_path) -> dict:
     path = tmp_path / "model.json"
     ep.save_model(ep.train(ep.generate_labeled_docs(20, overlap=0.2, seed=1)),

@@ -6,6 +6,7 @@ import random
 import struct
 import sys
 import tracemalloc
+import weakref
 import zlib
 from datetime import date, datetime, timezone
 
@@ -699,6 +700,21 @@ class TestOpenFile:
         with pytest.raises(ValueError, match="index is closed"):
             ep.save(loaded, copy)
         assert os.listdir(tmp_path) == [path.name]
+
+    def test_an_index_dropped_unclosed_closes_its_file(self, tmp_path):
+        # The finaliser that closes the file must not keep the index alive.
+        _, path = saved_index(tmp_path)
+        fd_dir = "/proc/self/fd"
+        gc.collect()
+        before = len(os.listdir(fd_dir)) if os.path.isdir(fd_dir) else None
+        loaded = ep.load(path)
+        assert loaded.entity_postings(loaded.entities[0])
+        ref = weakref.ref(loaded)
+        del loaded
+        gc.collect()
+        assert ref() is None
+        if before is not None:
+            assert len(os.listdir(fd_dir)) == before
 
     @pytest.mark.skipif(sys.implementation.name != "cpython",
                         reason="tuple untracking is CPython's")
