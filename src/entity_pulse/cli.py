@@ -13,11 +13,13 @@ runtime failure leaves through the one ``except`` in ``main``, as one JSON
 ``error`` line. An unknown entity is an answer (empty/zero output), not
 an error.
 
-``connectedness --other`` names one entity, or a set as a comma list.
-Each item is percent-unescaped as a mention id in the archive is, so
-``Washington%2C_D.C.`` names ``Washington,_D.C.``; an item whose escapes
-are not UTF-8 is a usage error. A single target is printed decoded, a set
-as given.
+``--entity`` (of ``series``, ``topk``, ``connectedness`` and ``network``)
+names one entity, and ``connectedness --other`` one entity or a set as a
+comma list. Each is percent-unescaped as a mention id in the archive is,
+so ``Washington%2C_D.C.`` names ``Washington,_D.C.``, and an id holding a
+literal ``%XX`` must be typed as ``%25XX``; a value or item whose escapes
+are not UTF-8 is a usage error. The entity and a single target are
+printed decoded, a set as given.
 
 Each option is declared once, in ``_OPTIONS`` (its argparse keywords and
 its default), and each subcommand once, in ``_COMMANDS`` (its handler,
@@ -95,10 +97,21 @@ def _warn_unknown_entity(index, *entities) -> None:
             _diag({"warning": "unknown entity", "entity": e})
 
 
+def _decode_entity(args) -> None:
+    """Replace ``--entity`` by the id it spells, or exit 2 (usage) if its
+    escapes are not UTF-8."""
+    entity = files.decode_id(args.entity)
+    if args.entity and not entity:
+        args.subparser.error(f"--entity {args.entity!r} has an escape that "
+                             "is not UTF-8")
+    args.entity = entity
+
+
 def _open_query(args, others: list[str] | None = None):
     """The index a query reads and its window, at the index's granularity
     (a given ``--granularity`` must match it). Unknown entities are warned
     about; connectedness's ``others`` must name at least one entity."""
+    _decode_entity(args)
     index = index_mod.load(args.index)
     g = index.granularity
     if args.granularity not in (None, g.value):
@@ -253,6 +266,7 @@ def _cmd_connectedness(args):
 
 
 def _cmd_network(args):
+    _decode_entity(args)
     index = index_mod.load(args.index)
     _warn_unknown_entity(index, args.entity)
     period = parse_period_token(args.period, index.granularity)
@@ -288,7 +302,10 @@ def _cmd_generate(args):
 # then takes the config file's value, else the "default" given here.
 _OPTIONS: dict[str, dict] = {
     "--input": {}, "--rejects": {}, "--model": {}, "--index": {},
-    "--entity": {}, "--to": {}, "--from": {"dest": "from_"},
+    "--entity": {"help": "entity id, percent-unescaped as in the archive: "
+                         "%%2C stands for a comma, and a literal %%XX must "
+                         "be typed as %%25XX"},
+    "--to": {}, "--from": {"dest": "from_"},
     "--output": {"help": "write here atomically (default stdout)"},
     "--min-confidence": {"type": float},
     "--alpha": {"type": float, "default": 1.0},

@@ -15,20 +15,29 @@ empty period for the popularity family, no mentioning texts for the rest);
 ranking skips undefined periods rather than fabricating neutral values.
 
 Each measure is a kernel: a pure function of one period's raw posting and
-slice counts (either may be ``None``) to ``(value, support)``. Series and
-top-k look the kernel and the entity's postings up once, then call the
-kernel per period, skipping the granularity check that the single-period
-wrappers keep: the walk enumerates periods at the index's granularity.
+slice counts (either may be ``None``) to ``(value, support)``. A series
+looks the kernel and the entity's postings up once and takes the window's
+periods, with their start days, as one slice of the calendar
+(``timeline.period_slice``). It then calls the kernel per start day,
+skipping the granularity check that the single-period wrappers keep: the
+slice is at the index's granularity. Top-k walks the same slice for the
+popularity measures, which are defined wherever a period has texts.
+Attitude, sentimentality and controversiality are defined exactly where
+the entity has a posting, so their top-k ranks only the entity's postings
+between the window's first and last period start, and builds a period
+only for each of the k it returns.
 """
 
 from __future__ import annotations
 
-from datetime import datetime
+from datetime import date, datetime
+from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
 
 from .files import csv_line
 from .index import _ATT, _NEG, _POS, _SENT, _TC, _USERS, EntityIndex
-from .timeline import Period, enumerate_periods
+from .timeline import (Period, period_containing, period_slice,
+                       window_starts)
 
 
 class MeasurePoint(NamedTuple):
@@ -114,16 +123,19 @@ MEASURES: dict[str, MeasureFn] = {name: _single_period(name, kernel)
  controversiality) = MEASURES.values()
 
 
-def _walk(index: EntityIndex, entity: str, window: tuple[datetime, datetime],
-          measure: str) -> list[tuple[Period, float | None, int]]:
-    """(period, value, support) for each period of the window, in order."""
+# The measures defined exactly where the entity has a posting: their
+# kernels read no slice counts and give None only for a missing posting.
+_POSTING_ONLY = frozenset({"attitude", "sentimentality", "controversiality"})
+_point = tuple.__new__  # a MeasurePoint from a 4-tuple, without __new__
+_value = itemgetter(1)
+
+
+def _kernel(measure: str) -> Kernel:
     kernel = _KERNELS.get(measure)
     if kernel is None:
         raise ValueError(f"unknown measure {measure!r}; expected one of "
                          f"{sorted(_KERNELS)}")
-    per, slices = index.entity_postings(entity), index.slices
-    return [(p, *kernel(per.get(d := p.start.date()), slices.get(d)))
-            for p in enumerate_periods(*window, index.granularity)]
+    return kernel
 
 
 def series(index: EntityIndex, entity: str, window: tuple[datetime, datetime],
@@ -132,8 +144,28 @@ def series(index: EntityIndex, entity: str, window: tuple[datetime, datetime],
 
     Chronological; undefined periods appear as ``None``-valued points.
     """
-    return [MeasurePoint(entity, p, value, support)
-            for p, value, support in _walk(index, entity, window, measure)]
+    kernel = _kernel(measure)
+    starts, periods = period_slice(*window, index.granularity)
+    per, slices = index.entity_postings(entity), index.slices
+    return [_point(MeasurePoint, (entity, p, value, support))
+            for d, p in zip(starts, periods)
+            for value, support in [kernel(per.get(d), slices.get(d))]]
+
+
+def _posting_values(index: EntityIndex, entity: str,
+                    window: tuple[datetime, datetime], kernel: Kernel
+                    ) -> list[tuple[date, float]]:
+    """(period start, value) for each of the entity's postings in the
+    window, chronological: for a measure defined exactly where a posting
+    is. The postings are in ascending period order, so filtering them to
+    the window's first and last period start keeps that order."""
+    span = window_starts(*window, index.granularity)
+    if span is None:
+        return []
+    first, last = span
+    return [(d, kernel(raw, None)[0])
+            for d, raw in index.entity_postings(entity).items()
+            if first <= d <= last]
 
 
 def top_k_periods(index: EntityIndex, entity: str,
@@ -150,11 +182,22 @@ def top_k_periods(index: EntityIndex, entity: str,
         raise ValueError(f"k must be >= 1, got {k}")
     if direction not in ("high", "low"):
         raise ValueError(f"direction must be 'high' or 'low', got {direction!r}")
-    defined = [(p, value) for p, value, _ in
-               _walk(index, entity, window, measure) if value is not None]
-    # The sort is stable, also reversed, so ties stay chronological.
-    defined.sort(key=lambda pv: pv[1], reverse=direction == "high")
-    return RankedPeriods(entity, measure, direction, k, tuple(defined[:k]))
+    kernel, g = _kernel(measure), index.granularity
+    # Each sort is stable, also reversed, so ties stay chronological.
+    if measure in _POSTING_ONLY:
+        defined = _posting_values(index, entity, window, kernel)
+        defined.sort(key=_value, reverse=direction == "high")
+        items = tuple((period_containing(d, g), value)
+                      for d, value in defined[:k])
+    else:
+        starts, periods = period_slice(*window, g)
+        per, slices = index.entity_postings(entity), index.slices
+        defined = [(p, value) for d, p in zip(starts, periods)
+                   for value, _ in [kernel(per.get(d), slices.get(d))]
+                   if value is not None]
+        defined.sort(key=_value, reverse=direction == "high")
+        items = tuple(defined[:k])
+    return RankedPeriods(entity, measure, direction, k, items)
 
 
 # -- stable output formats ---------------------------------------------------

@@ -3,14 +3,16 @@
 A period is a half-open UTC interval [start, end) spanning exactly one
 calendar unit (day, ISO week, month, or year). Weeks start on Monday per
 ISO-8601, so they are locale-free and deterministic. Periods that only
-partially overlap a query window are included whole.
+partially overlap a query window are included whole. Periods are handed
+out from one calendar per granularity (see below), so the same period
+asked for twice is, within the calendar's span, one object.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
-from functools import lru_cache
 from typing import NamedTuple
 
 UTC = timezone.utc
@@ -23,8 +25,8 @@ class Granularity(Enum):
     YEAR = "year"
 
     # Members are singletons compared by identity, so the identity hash
-    # agrees with equality. Enum.__hash__ is Python code, and the period
-    # cache below hashes a granularity on every lookup.
+    # agrees with equality. Enum.__hash__ is Python code, and the calendar
+    # below is looked up by granularity on every call.
     __hash__ = object.__hash__
 
     @classmethod
@@ -111,24 +113,100 @@ class Period(_PeriodFields):
         return self.render()
 
 
-# Periods are immutable, so one object per (start, granularity) can serve
-# every caller. A series over a 731-day window would otherwise build 731
-# new periods per call: about half its time, and most of the objects that
-# drive the cyclic garbage collector on a warm query path.
-@lru_cache(maxsize=4096)
-def _from_start(sd: date, g: Granularity) -> Period:
+# The calendar: per granularity, a pair of lists holding consecutive
+# periods in order and their boundaries (each period's start day, then the
+# last period's end day), so a window's periods are two bisects and a
+# slice. Periods are immutable, so one object per period serves every
+# caller: a series over a 731-day window would otherwise build 731 periods
+# per call, about half its time. A window outside the calendar extends it
+# by the periods it adds, as long as its span stays within _CAPACITY
+# periods; past that, the periods are built for the one call and the
+# calendar is left as it was. An extension is published by one assignment
+# of fresh lists, and a published list is never changed, so a concurrent
+# reader always sees a consistent pair.
+_CAPACITY = 4096
+_calendars: dict[Granularity, tuple[list[date], list[Period]]] = {
+    g: ([], []) for g in Granularity}
+_DAY = timedelta(days=1)
+_TICK = timedelta(microseconds=1)
+_new = tuple.__new__
+
+
+def _end(sd: date, g: Granularity) -> date:
+    """The day after the period of ``g`` starting ``sd``, which is where it
+    ends; ValueError if that is after ``date.max``."""
     try:
-        ed = _next_start(sd, g)
+        return _next_start(sd, g)
     except (OverflowError, ValueError):
         raise ValueError(f"the {g.value} starting {sd.isoformat()} ends "
                          f"after {date.max.isoformat()}") from None
-    return Period(datetime(sd.year, sd.month, sd.day, tzinfo=UTC),
-                  datetime(ed.year, ed.month, ed.day, tzinfo=UTC), g)
+
+
+def _count(first: date, last: date, g: Granularity) -> int:
+    """How many periods of ``g`` run from the one starting ``first``
+    through the one starting ``last``."""
+    if g is Granularity.DAY:
+        return last.toordinal() - first.toordinal() + 1
+    if g is Granularity.WEEK:
+        return (last.toordinal() - first.toordinal()) // 7 + 1
+    if g is Granularity.MONTH:
+        return (last.year - first.year) * 12 + last.month - first.month + 1
+    return last.year - first.year + 1
+
+
+def _run(sd: date, last: date, g: Granularity
+         ) -> tuple[list[date], list[Period]]:
+    """Boundaries and periods, built anew, from the period of ``g`` starting
+    ``sd`` through the one starting ``last``."""
+    bounds, periods = [sd], []
+    start = datetime(sd.year, sd.month, sd.day, tzinfo=UTC)
+    while sd <= last:
+        sd = _end(sd, g)
+        end = datetime(sd.year, sd.month, sd.day, tzinfo=UTC)
+        # start < end by construction: Period's own check is not needed.
+        periods.append(_new(Period, (start, end, g)))
+        bounds.append(sd)
+        start = end
+    return bounds, periods
+
+
+def _cover(first: date, last: date, g: Granularity
+           ) -> tuple[list[date], list[Period]]:
+    """Boundaries and periods holding those of ``g`` from the one starting
+    ``first`` through the one starting ``last``: the calendar, extended to
+    them when the span stays within the capacity, else a run of their own.
+    The capacity is checked before any period is built."""
+    bounds, periods = _calendars[g]
+    if bounds:
+        span = _count(min(first, bounds[0]), max(last, bounds[-2]), g)
+    else:
+        span = _count(first, last, g)
+    if span > _CAPACITY:
+        return _run(first, last, g)
+    if not bounds:
+        bounds, periods = _run(first, last, g)
+    else:
+        if first < bounds[0]:
+            head, head_periods = _run(first, bounds[0] - _DAY, g)
+            bounds, periods = head[:-1] + bounds, head_periods + periods
+        if last >= bounds[-1]:
+            tail, tail_periods = _run(bounds[-1], last, g)
+            bounds, periods = bounds + tail[1:], periods + tail_periods
+    _calendars[g] = bounds, periods
+    return bounds, periods
 
 
 def period_containing(d: date, g: Granularity) -> Period:
-    """The period of granularity ``g`` containing the UTC day ``d``."""
-    return _from_start(start_date(d, g), g)
+    """The period of granularity ``g`` containing the UTC day ``d``: the
+    calendar's own, or one built for the call if ``d`` is outside it."""
+    bounds, periods = _calendars[g]
+    i = bisect_right(bounds, d)
+    if 0 < i < len(bounds):
+        return periods[i - 1]
+    # A day outside does not extend the calendar: the gap between them
+    # could be thousands of periods, built for one.
+    sd = start_date(d, g)
+    return _run(sd, sd, g)[1][0]
 
 
 def period_of(ts: datetime, g: Granularity) -> Period:
@@ -138,30 +216,72 @@ def period_of(ts: datetime, g: Granularity) -> Period:
     return period_containing(ts.astimezone(UTC).date(), g)
 
 
-def enumerate_periods(window_start: datetime, window_end: datetime,
-                      g: Granularity) -> list[Period]:
-    """All periods of granularity ``g`` intersecting [window_start, window_end).
-
-    Chronological and duplicate-free; empty for an empty window.
-    """
+def _window_days(window_start: datetime, window_end: datetime
+                 ) -> tuple[date, date] | None:
+    """The UTC days of the first and the last instant of the half-open
+    window [window_start, window_end), or None for an empty window. Naive
+    datetimes are read as UTC."""
     if window_start.tzinfo is None:
         window_start = window_start.replace(tzinfo=UTC)
     if window_end.tzinfo is None:
         window_end = window_end.replace(tzinfo=UTC)
     if window_start >= window_end:
-        return []
-    end_limit = window_end.astimezone(UTC)
-    p = _from_start(start_date(window_start.astimezone(UTC).date(), g), g)
-    out = [p]
-    # The next period starts where this one ends, so none is built that
-    # starts at or after the window end. A NamedTuple field is a slower
-    # read than a slot, so each end is read once.
-    end = p.end
-    while end < end_limit:
-        p = _from_start(end.date(), g)
-        out.append(p)
-        end = p.end
-    return out
+        return None
+    return (window_start.astimezone(UTC).date(),
+            (window_end.astimezone(UTC) - _TICK).date())
+
+
+def window_starts(window_start: datetime, window_end: datetime,
+                  g: Granularity) -> tuple[date, date] | None:
+    """Start days of the first and the last period of granularity ``g``
+    intersecting the window, or None for an empty window. Builds no
+    period, but raises the ValueError that enumerating the window would:
+    when its last period ends after ``date.max``."""
+    days = _window_days(window_start, window_end)
+    if days is None:
+        return None
+    first, last = days
+    bounds = _calendars[g][0]
+    lo = bisect_right(bounds, first) - 1
+    hi = bisect_right(bounds, last)
+    if lo < 0 or hi == len(bounds):
+        last = start_date(last, g)
+        _end(last, g)
+        return start_date(first, g), last
+    return bounds[lo], bounds[hi - 1]
+
+
+def period_slice(window_start: datetime, window_end: datetime,
+                 g: Granularity) -> tuple[list[date], list[Period]]:
+    """The periods of granularity ``g`` intersecting [window_start,
+    window_end), and their start days, as two parallel lists in order.
+
+    Both are new lists the caller may keep; the periods are the calendar's
+    own, so two windows inside its span share their period objects.
+    """
+    days = _window_days(window_start, window_end)
+    if days is None:
+        return [], []
+    first, last = days
+    bounds, periods = _calendars[g]
+    lo = bisect_right(bounds, first) - 1
+    hi = bisect_right(bounds, last)
+    if lo < 0 or hi == len(bounds):
+        bounds, periods = _cover(start_date(first, g), start_date(last, g), g)
+        lo = bisect_right(bounds, first) - 1
+        hi = bisect_right(bounds, last)
+    return bounds[lo:hi], periods[lo:hi]
+
+
+def enumerate_periods(window_start: datetime, window_end: datetime,
+                      g: Granularity) -> list[Period]:
+    """All periods of granularity ``g`` intersecting [window_start, window_end).
+
+    Chronological and duplicate-free; empty for an empty window. A period
+    that only partly overlaps the window is included whole. The list is new
+    on each call; its periods come from the calendar (see ``period_slice``).
+    """
+    return period_slice(window_start, window_end, g)[1]
 
 
 def parse_period_token(token: str, g: Granularity) -> Period:

@@ -449,6 +449,80 @@ def test_connectedness_other_items_are_unescaped_like_mentions(tmp_path,
         "is not UTF-8")
 
 
+def _comma_index(tmp_path, capsys) -> str:
+    """A day index of 2015-07-05 and 06 holding the entities "a,b"
+    (archived as a%2Cb) and c."""
+    ab, c = ("a,b", 0.9), ("c", 0.8)
+    rows = [row("t1", "u1", "2015-07-05T10:00:00Z", [ab, c], 3, -1),
+            row("t2", "u2", "2015-07-05T11:00:00Z", [c], 2, -2),
+            row("t3", "u1", "2015-07-06T10:00:00Z", [ab, c], 1, -1)]
+    archive, index = tmp_path / "comma.csv", tmp_path / "comma.epx"
+    archive.write_text("\n".join(rows) + "\n")
+    assert cli.main(["index", "--input", str(archive), "--output",
+                     str(index), "--granularity", "day"]) == 0
+    capsys.readouterr()
+    return str(index)
+
+
+_JULY_5_TO_7 = ["--from", "2015-07-05", "--to", "2015-07-07"]
+
+
+@pytest.mark.parametrize("query, want", [
+    (["series", "--measure", "popularity_c", *_JULY_5_TO_7],
+     ['"a,b",2015-07-05,2015-07-06,popularity_c,0.5,1',
+      '"a,b",2015-07-06,2015-07-07,popularity_c,1.0,1']),
+    (["topk", "--measure", "attitude", "--k", "1", *_JULY_5_TO_7],
+     ['1,"a,b",2015-07-05,2015-07-06,attitude,2.0,1']),
+    (["connectedness", "--other", "c", *_JULY_5_TO_7],
+     ['"a,b",c,2015-07-05,2015-07-06,direct,1.0',
+      '"a,b",c,2015-07-06,2015-07-07,direct,1.0']),
+    (["network", "--period", "2015-07-05"], ["1,c,1.0,1"]),
+], ids=["series", "topk", "connectedness", "network"])
+def test_entity_is_unescaped_like_mentions(tmp_path, capsys, query, want):
+    # --entity reads an id as the archive and --other store it, so a%2Cb
+    # names the entity "a,b", which the output prints decoded.
+    index = _comma_index(tmp_path, capsys)
+    assert cli.main([query[0], "--index", index, "--entity", "a%2Cb",
+                     *query[1:]]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == want
+
+
+def test_entity_with_an_escape_that_is_not_utf8_is_a_usage_error(tmp_path,
+                                                                   capsys):
+    index = _comma_index(tmp_path, capsys)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["series", "--index", index, "--entity", "x%FF",
+                  "--measure", "attitude", *_JULY_5_TO_7])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "epx series: error: --entity 'x%FF' has an escape that is not UTF-8")
+
+
+def test_entity_holding_a_literal_escape_is_typed_with_percent_25(tmp_path,
+                                                                  capsys):
+    archive, index = tmp_path / "pct.csv", tmp_path / "pct.epx"
+    archive.write_text(row("t1", "u1", "2015-07-05T10:00:00Z",
+                           [("100%41", 1.0)], 3, -1) + "\n")
+    assert "100%2541:1.0" in archive.read_text()
+    assert cli.main(["index", "--input", str(archive), "--output",
+                     str(index), "--granularity", "day"]) == 0
+    capsys.readouterr()
+    query = ["series", "--index", str(index), "--measure", "popularity_c",
+             "--from", "2015-07-05", "--to", "2015-07-06", "--entity"]
+    assert cli.main(query + ["100%2541"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == "100%41,2015-07-05,2015-07-06,popularity_c,1.0,1\n"
+    # Typed bare, %41 is an escape of "A": another id, which is unknown.
+    assert cli.main(query + ["100%41"]) == 0
+    assert json.loads(capsys.readouterr().err) == {
+        "warning": "unknown entity", "entity": "100A"}
+
+
 def _model_doc(tmp_path) -> dict:
     path = tmp_path / "model.json"
     ep.save_model(ep.train(ep.generate_labeled_docs(20, overlap=0.2, seed=1)),

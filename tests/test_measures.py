@@ -1,7 +1,9 @@
 import random
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entity_pulse as ep
 from entity_pulse.measures import (ranked_periods_csv_rows, series_csv_rows,
@@ -408,3 +410,68 @@ class TestTieOrder:
                 assert [p.start.month for p, _ in ranked.items] == months[:k]
                 assert list(ranked.items) == oracle.top_k(values, k,
                                                           direction)
+
+
+_texts = st.lists(st.tuples(
+    st.datetimes(min_value=datetime(2014, 11, 1),
+                 max_value=datetime(2016, 3, 1)),
+    st.sampled_from(["u1", "u2", "u3"]),
+    st.lists(st.sampled_from(["a", "b", "c"]), max_size=3, unique=True),
+    st.integers(1, 5), st.integers(-5, -1)), max_size=40)
+_zones = st.sampled_from([None, UTC, timezone(timedelta(hours=5, minutes=30)),
+                          timezone(timedelta(hours=-8))])
+
+
+@st.composite
+def _windows(draw):
+    """A window with edges anywhere in a period, naive (read as UTC) or
+    aware in some zone; possibly empty."""
+    instants = st.datetimes(min_value=datetime(2014, 10, 1),
+                            max_value=datetime(2016, 4, 1))
+    a, b, zone = draw(instants), draw(instants), draw(_zones)
+    return min(a, b).replace(tzinfo=zone), max(a, b).replace(tzinfo=zone)
+
+
+class TestTopKProperty:
+    """Top-k ranks the series' defined points by value, ties in period
+    order, whether it walks the window (popularity) or only the entity's
+    postings (attitude, sentimentality, controversiality)."""
+
+    @pytest.mark.parametrize("granularity", list(ep.Granularity))
+    @settings(deadline=None, max_examples=25)
+    @given(texts=_texts, window=_windows(),
+           delta=st.sampled_from([0.0, 1.0, 2.0, 3.0]), k=st.integers(1, 8))
+    def test_top_k_is_a_stable_sort_of_the_series(self, granularity, texts,
+                                                  window, delta, k):
+        rows = [row(f"t{i}", user, ts.strftime("%Y-%m-%dT%H:%M:%SZ"),
+                    [(e, 1.0) for e in entities], pos, neg)
+                for i, (ts, user, entities, pos, neg) in enumerate(texts)]
+        idx = ep.build(make_corpus(rows), granularity, delta)
+        for entity in ["a", "b", "c", "never-mentioned"]:
+            for name in ep.MEASURES:
+                defined = [(p.period, p.value)
+                           for p in ep.series(idx, entity, window, name)
+                           if p.value is not None]
+                for direction in ("high", "low"):
+                    want = sorted(defined, key=lambda pv: pv[1],
+                                  reverse=direction == "high")[:k]
+                    ranked = ep.top_k_periods(idx, entity, window, name, k,
+                                              direction)
+                    assert list(ranked.items) == want
+
+    @pytest.mark.parametrize("granularity", [ep.Granularity.WEEK,
+                                             ep.Granularity.MONTH,
+                                             ep.Granularity.YEAR])
+    def test_window_whose_last_period_ends_after_the_last_day(self,
+                                                             granularity):
+        # The period holding 9999-12-30 ends in 10000: top-k fails as the
+        # series does, also where it reads only the postings.
+        idx = ep.build(make_corpus(july_rows([("t1", "u1", [("e", 1.0)], 2)])),
+                       granularity, 2.0)
+        span = (datetime(9999, 12, 1, tzinfo=UTC),
+                datetime(9999, 12, 31, tzinfo=UTC))
+        for name in ep.MEASURES:
+            with pytest.raises(ValueError, match="ends after 9999-12-31"):
+                ep.series(idx, "e", span, name)
+            with pytest.raises(ValueError, match="ends after 9999-12-31"):
+                ep.top_k_periods(idx, "e", span, name, 3)
