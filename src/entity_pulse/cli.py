@@ -97,21 +97,21 @@ def _warn_unknown_entity(index, *entities) -> None:
             _diag({"warning": "unknown entity", "entity": e})
 
 
-def _decode_entity(args) -> None:
-    """Replace ``--entity`` by the id it spells, or exit 2 (usage) if its
-    escapes are not UTF-8."""
-    entity = files.decode_id(args.entity)
-    if args.entity and not entity:
-        args.subparser.error(f"--entity {args.entity!r} has an escape that "
-                             "is not UTF-8")
-    args.entity = entity
+def _decode(args, what: str, value: str) -> str:
+    """The id that ``value``, given as ``what``, spells; exit 2 (usage) if
+    its escapes are not UTF-8."""
+    entity = files.decode_id(value)
+    if value and not entity:
+        args.subparser.error(f"{what} {value!r} has an escape that is not "
+                             "UTF-8")
+    return entity
 
 
 def _open_query(args, others: list[str] | None = None):
     """The index a query reads and its window, at the index's granularity
     (a given ``--granularity`` must match it). Unknown entities are warned
     about; connectedness's ``others`` must name at least one entity."""
-    _decode_entity(args)
+    args.entity = _decode(args, "--entity", args.entity)
     index = index_mod.load(args.index)
     g = index.granularity
     if args.granularity not in (None, g.value):
@@ -229,11 +229,7 @@ def _cmd_topk(args):
 
 def _cmd_connectedness(args):
     items = [o for o in args.other.split(",") if o]
-    others = [files.decode_id(o) for o in items]
-    for item, entity in zip(items, others):
-        if not entity:
-            args.subparser.error(f"--other item {item!r} has an escape that "
-                                 "is not UTF-8")
+    others = [_decode(args, "--other item", o) for o in items]
     if len(others) > 1 and args.kind != "direct":
         args.subparser.error(f"--kind {args.kind} takes one --other entity; "
                              "connectedness to a set is direct only")
@@ -266,7 +262,7 @@ def _cmd_connectedness(args):
 
 
 def _cmd_network(args):
-    _decode_entity(args)
+    args.entity = _decode(args, "--entity", args.entity)
     index = index_mod.load(args.index)
     _warn_unknown_entity(index, args.entity)
     period = parse_period_token(args.period, index.granularity)

@@ -29,12 +29,15 @@ Malformed rows never abort ingestion: each yields a :class:`Rejection` with
 the row number and a stable reason string, accumulated on the corpus. A
 NUL character is read like any other, so an id may hold one.
 
-The package reads JSON and CSV, and writes files, only through this
-module and ``files``: :func:`csv_rows` here reads any CSV source
-(:class:`IngestError`), and ``files`` holds :func:`read_json` (config,
-scenario, spam model; ValueError), :func:`csv_line`, and :func:`write_lines`
-and :func:`write_atomic` (atomic writes). This module re-exports the
-``files`` helpers as the same objects.
+A source that cannot be read ends the scan instead, as
+:class:`IngestError`: an I/O or decoding failure, a ``.gz`` file that is
+truncated or corrupt, or a field longer than ``csv.field_size_limit()``
+(131,072 characters). The reader cannot skip such a field as one row: it
+resumes at the next physical line, so a quoted field that spans lines
+would be read from its middle as a new row.
+
+:func:`csv_rows` here reads every CSV source of the package; JSON is read,
+and files are written, through ``files``.
 """
 
 from __future__ import annotations
@@ -43,15 +46,13 @@ import csv
 import gzip
 import math
 import os
-from dataclasses import dataclass
+import zlib
 from datetime import datetime, timezone
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-# Re-exported, so callers may import these from here as well.
-from .files import (IngestError, csv_line, decode_id, read_json,
-                    write_atomic, write_lines)
+from .files import IngestError, csv_line, decode_id, write_lines
 
 UTC = timezone.utc
 # Timestamps in this year are rejected: the year period holding them ends
@@ -67,8 +68,7 @@ REASON_EMPTY_ID = "empty text or user id"
 REASON_DUPLICATE_ID = "duplicate text id"
 
 
-@dataclass(frozen=True, slots=True)
-class AnnotatedText:
+class AnnotatedText(NamedTuple):
     """A valid row's fields in column order, ``mentions`` as ``(entity,
     confidence)`` pairs; a NaN confidence rejects the row, so none is here."""
 
@@ -91,21 +91,21 @@ class AnnotatedText:
         return self.positive - self.negative - 2
 
 
-@dataclass(frozen=True, slots=True)
-class Rejection:
+class Rejection(NamedTuple):
     row: int
     reason: str
 
 
-@dataclass(frozen=True, slots=True)
-class CorpusStats:
+class CorpusStats(NamedTuple):
     record_count: int
     rejected_count: int
     distinct_users: int
     time_span: tuple[datetime, datetime] | None
 
 
-def _escape_entity(entity_id: str) -> str:
+def encode_id(entity_id: str) -> str:
+    """``entity_id`` escaped for a mention list; ``files.decode_id`` is its
+    inverse."""
     return (entity_id.replace("%", "%25").replace(":", "%3A")
             .replace(";", "%3B").replace(",", "%2C")
             .replace("\r", "%0D").replace("\n", "%0A"))
@@ -230,7 +230,7 @@ def parse_record(line: str, row: int = 0) -> AnnotatedText | Rejection:
     return AnnotatedText(*parsed)
 
 
-def _record_line(text_id, user_id, ts, mentions, pos, neg, text) -> str:
+def record_line(text_id, user_id, ts, mentions, pos, neg, text) -> str:
     """Canonical CSV form of a record's fields, ``mentions`` as ``(escaped
     entity id, confidence)`` pairs. ``isoformat`` pads years below 1000."""
     fields = [text_id, user_id, ts.astimezone(UTC).isoformat()[:19] + "Z",
@@ -340,7 +340,8 @@ def csv_rows(source) -> Iterator[tuple[int, list[str]]]:
 
     ``source`` is a path (``.gz`` decompressed transparently), an open text
     stream, or an iterable of lines. A source that cannot be opened or read
-    as UTF-8 CSV raises :class:`IngestError` carrying the position reached.
+    (see the module docstring) raises :class:`IngestError` carrying the
+    position reached.
     """
     owned = isinstance(source, (str, Path))
     if owned:
@@ -356,7 +357,8 @@ def csv_rows(source) -> Iterator[tuple[int, list[str]]]:
             row_no += 1
             if fields:
                 yield row_no, fields
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+    except (OSError, EOFError, zlib.error, UnicodeDecodeError,
+            csv.Error) as exc:
         raise IngestError(f"unreadable source after row {row_no}: {exc}"
                           ) from exc
     finally:
@@ -403,10 +405,10 @@ def write_records(corpus: Corpus, rows: Iterable[Row], path) -> None:
     The rows are held once, to sort them, and written line by line.
     """
     rows = sorted(rows, key=_by_time)  # a scan interns as it is read
-    escaped = [_escape_entity(e) for e in corpus.entities]
-    write_lines(path, (_record_line(row[0], corpus.users[row[1]], row[2],
-                                    [(escaped[e], c) for e, c in row[3]],
-                                    row[4], row[5], row[8]) for row in rows))
+    escaped = [encode_id(e) for e in corpus.entities]
+    write_lines(path, (record_line(row[0], corpus.users[row[1]], row[2],
+                                   [(escaped[e], c) for e, c in row[3]],
+                                   row[4], row[5], row[8]) for row in rows))
 
 
 def write_rejections(rejections: Iterable[Rejection], path) -> None:

@@ -2,8 +2,8 @@
 writing files atomically and decoding an escaped entity id.
 
 They live apart from ``corpus`` so that a query, which writes its rows
-through them, does not import the ingest side of the package; ``corpus``
-re-exports each of them. CSV sources are read by ``corpus.csv_rows``.
+through them, does not import the ingest side of the package. CSV sources
+are read by ``corpus.csv_rows``.
 """
 
 from __future__ import annotations

@@ -16,8 +16,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .corpus import Row, csv_rows
 from .files import read_json, write_atomic
@@ -32,8 +31,7 @@ def tokenize(text: str) -> list[str]:
     return [t for t in _TOKEN_RE.findall(text.lower()) if len(t) > 1]
 
 
-@dataclass(frozen=True)
-class NBModel:
+class NBModel(NamedTuple):
     vocabulary: dict[str, int]  # token -> column
     class_log_prior: dict[str, float]
     token_log_likelihood: dict[str, list[float]]  # per class, by column

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from typing import NamedTuple
 
-from .corpus import _escape_entity, _record_line
+from .corpus import encode_id, record_line
 from .files import read_json, write_lines
 from .timeline import (Granularity, Period, enumerate_periods,
                        parse_period_token, parse_window)
@@ -102,8 +102,7 @@ class SplitMix64:
         return self.next_u64() % n
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(NamedTuple):
     seed: int
     window: tuple[datetime, datetime]
     granularity: Granularity
@@ -114,7 +113,7 @@ class ScenarioSpec:
     entities: list[tuple[str, list[int]]]
     extra_mention_prob: float = 0.0
     vocab_overlap: float = 0.2
-    events: list[dict] = field(default_factory=list)
+    events: tuple[dict, ...] = ()
 
 
 def _err(path: str, message: str) -> ScenarioError:
@@ -271,7 +270,7 @@ def scenario_from_json(doc: dict) -> ScenarioSpec:
     for i, ev in enumerate(events):
         total = _add_to_plan(total, ev.get("texts", 0), f"events[{i}].texts")
     return ScenarioSpec(seed, (start, end), g, users, list(entities.items()),
-                        float(prob), float(overlap), events)
+                        float(prob), float(overlap), tuple(events))
 
 
 def load_scenario(path) -> ScenarioSpec:
@@ -333,12 +332,12 @@ def generate(spec: ScenarioSpec) -> tuple[list[str], dict]:
         if phi is None:
             phi = _draw_attitude(rng)
         pos, neg = _scores_for(phi)
-        parts = [(_escape_entity(m), round(-5.0 + 8.0 * rng.uniform(), 3))
+        parts = [(encode_id(m), round(-5.0 + 8.0 * rng.uniform(), 3))
                  for m in mentions]
         text = (_phrase(rng, spam_pool if spam else ham_pool) if with_text
                 else None)
-        rows.append(_record_line(f"t{len(rows) + 1:08d}", user, ts, parts,
-                                 pos, neg, text))
+        rows.append(record_line(f"t{len(rows) + 1:08d}", user, ts, parts,
+                                pos, neg, text))
 
     # The events that plant texts of their own; spikes are in the entities'.
     by_period: dict[Period, list[dict]] = {}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gzip
 import random
 import struct
 import zlib
@@ -23,6 +24,18 @@ def row(text_id, user, ts, mentions, pos, neg, text=None) -> str:
     if text is not None:
         fields.append(text)
     return csv_line(fields)
+
+
+def damaged_gzip(lines: list[str], damage: str) -> bytes:
+    """``lines`` gzipped, then cut to half their compressed length
+    ("truncated") or with the first deflate block given the reserved
+    block type 3 ("corrupt")."""
+    data = gzip.compress("".join(f"{line}\n" for line in lines).encode(),
+                         mtime=0)
+    if damage == "truncated":
+        return data[:len(data) // 2]
+    # The 10-byte header has no optional fields; 0x07 is BFINAL=1, BTYPE=3.
+    return data[:10] + b"\x07" + data[11:]
 
 
 def phi_row(text_id, user, ts, mentions, phi) -> str:

@@ -21,7 +21,7 @@ from entity_pulse.corpus import (REASON_DUPLICATE_ID, REASON_EMPTY_ID,
                                  REASON_SENTIMENT, REASON_TIMESTAMP, csv_line,
                                  write_rejections)
 
-from helpers import epx_section, make_corpus, reseal_epx, row
+from helpers import damaged_gzip, epx_section, make_corpus, reseal_epx, row
 from test_synth import doc_with, spike
 
 BAD_GRANULARITIES = ["decade", 5, None, ["month"]]
@@ -798,6 +798,22 @@ def test_train_spam_on_an_oversized_field_is_a_json_error(tmp_path, capsys):
     assert not model.exists()
 
 
+@pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+@pytest.mark.parametrize("command", ["ingest", "index", "train-spam"])
+def test_a_damaged_gzip_source_is_a_json_error(tmp_path, capsys, command,
+                                               damage):
+    source, out = tmp_path / "source.csv.gz", tmp_path / "out"
+    lines = [f"ham,hello there {i}" if command == "train-spam"
+             else row(f"t{i}", "u1", "2015-01-05T00:00:00Z", [("a", 1.0)],
+                      1, -1) for i in range(2000)]
+    source.write_bytes(damaged_gzip(lines, damage))
+    target = "--model" if command == "train-spam" else "--output"
+    assert cli.main([command, "--input", str(source), target, str(out)]) == 1
+    assert re.match(r"unreadable source after row \d+: ",
+                    _error_line(capsys)["error"])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("alpha", ["nan", "inf", "1e309"])
 def test_train_spam_refuses_an_alpha_its_model_cannot_hold(tmp_path, capsys,
                                                            alpha):
@@ -1010,3 +1026,32 @@ def test_query_commands_import_no_ingest_code(tmp_path):
     bare = _python("-c", "import sys; print('dataclasses' in sys.modules)")
     if bare.strip() == "False":
         assert "dataclasses" not in loaded
+
+
+def test_row_commands_import_no_dataclasses_or_inspect(tmp_path):
+    archive, model = tmp_path / "archive.csv", tmp_path / "model.json"
+    archive.write_text(ORDER_ARCHIVE, encoding="utf-8")
+    labeled = tmp_path / "labeled.csv"
+    labeled.write_text("spam,spam text offer\nham,hi there friend\n")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc_with()))
+    out = str(tmp_path / "out")
+    argvs = [
+        ["index", "--input", str(archive), "--output", out],
+        ["ingest", "--input", str(archive), "--output", out],
+        ["train-spam", "--input", str(labeled), "--model", str(model)],
+        ["filter", "--input", str(archive), "--model", str(model),
+         "--output", out],
+        ["generate", "--spec", str(spec), "--output", out],
+    ]
+    run = _python("-c", _RUN_AND_LIST_MODULES, json.dumps(argvs))
+    loaded = set(json.loads(run.splitlines()[-1]))
+    assert {"entity_pulse.corpus", "entity_pulse.spam",
+            "entity_pulse.synth"} <= loaded
+    # As above: only what the bare interpreter does not load is asked for.
+    bare = json.loads(_python("-c", "import json, sys; print(json.dumps("
+                                    "[m in sys.modules for m in "
+                                    "('dataclasses', 'inspect')]))"))
+    for module, preloaded in zip(("dataclasses", "inspect"), bare):
+        if not preloaded:
+            assert module not in loaded

@@ -1,7 +1,10 @@
+import csv
 import gzip
+import io
 import os
 import random
 import stat
+from collections import deque
 from datetime import datetime, timezone
 from urllib.parse import unquote
 
@@ -13,14 +16,14 @@ import entity_pulse as ep
 from entity_pulse.corpus import (REASON_DUPLICATE_ID, REASON_FIELD_COUNT,
                                  REASON_MENTIONS, REASON_SENTIMENT,
                                  REASON_TIMESTAMP, IngestError, Rejection,
-                                 _escape_entity, _parse_any_timestamp,
-                                 _parse_mentions, _parse_timestamp,
-                                 _record_line,
-                                 scan, write_atomic, write_records,
+                                 _parse_any_timestamp, _parse_mentions,
+                                 _parse_timestamp, csv_rows, encode_id,
+                                 record_line, scan, write_records,
                                  write_rejections)
+from entity_pulse.files import write_atomic
 from entity_pulse.index import build_streaming
 
-from helpers import build_random_corpus, row
+from helpers import build_random_corpus, damaged_gzip, row
 
 UTC = timezone.utc
 
@@ -166,9 +169,9 @@ def annotated_texts(draw):
 
 def line_of(rec) -> str:
     """The canonical CSV line of ``rec``, as the program writes rows."""
-    return _record_line(rec.text_id, rec.user_id, rec.timestamp,
-                        [(_escape_entity(e), c) for e, c in rec.mentions],
-                        rec.positive, rec.negative, rec.text)
+    return record_line(rec.text_id, rec.user_id, rec.timestamp,
+                       [(encode_id(e), c) for e, c in rec.mentions],
+                       rec.positive, rec.negative, rec.text)
 
 
 @st.composite
@@ -323,6 +326,36 @@ class TestIngest:
             fh.write(body + "\n")
         _, stats = ep.ingest(path)
         assert stats.record_count == 1
+
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+    def test_damaged_gzip_is_an_ingest_error(self, tmp_path, damage):
+        path = tmp_path / "corpus.csv.gz"
+        path.write_bytes(damaged_gzip(
+            [row(f"t{i}", "u1", "2015-01-05T00:00:00Z", [("a", 1.0)], 1, -1)
+             for i in range(2000)], damage))
+        with pytest.raises(IngestError,
+                           match=r"^unreadable source after row \d+: "):
+            deque(csv_rows(path), maxlen=0)
+
+    def test_a_field_past_the_csv_limit_ends_the_scan(self, tmp_path):
+        # csv.reader resumes after such a field at the next physical line,
+        # so the tail of a quoted field that spans lines reads as a row.
+        # The scan ends at the field rather than skip one row.
+        good = "t1,u1,2015-01-05T00:00:00Z,,1,-1"
+        big = f't2,u1,2015-01-05T00:00:00Z,,1,-1,"{"x" * 200_000}\nz"'
+        text = f"{good}\n{big}\n{good}\n"
+        resumed = csv.reader(io.StringIO(text, newline=""))
+        assert next(resumed) == good.split(",")
+        with pytest.raises(csv.Error):
+            next(resumed)
+        assert next(resumed) == ['z"']
+        path = tmp_path / "big.csv"
+        path.write_text(text, encoding="utf-8")
+        rows = csv_rows(path)
+        assert next(rows)[0] == 1
+        with pytest.raises(IngestError, match=r"^unreadable source after row "
+                           r"1: field larger than field limit \(131072\)$"):
+            next(rows)
 
     def test_unreadable_source(self, tmp_path):
         with pytest.raises(IngestError):
